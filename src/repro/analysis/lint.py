@@ -17,8 +17,8 @@ Checks
 ``W103``  dead definition: the value written is never read on any path
 ``W104``  write to ``x0`` is architecturally discarded
 ``W105``  a loop anchors an SVR chain yet its vectorization plan is
-          ``SCALAR_ONLY`` — runahead seeds exist but lane batching is
-          statically illegal, so the SoA executor will serialise it
+          ``SCALAR_ONLY`` — runahead seeds exist but batching its
+          iterations into lanes is statically illegal
 ``W106``  dead store: the register is overwritten before any read (the
           in-flow variant of ``W103``, with the clobbering pc identified)
 """
@@ -199,7 +199,7 @@ def lint_program(program: Program, name: str | None = None) -> LintReport:
     report.chains = chains_for_program(cfg, report.loads)
 
     # W105: runahead will seed chains here, but the vectorization plan says
-    # lane batching is illegal — the SoA executor would serialise the loop.
+    # batching the loop's iterations into lanes is illegal.
     plan = build_plan(program, name=report.name)
     for lp in plan.loops:
         if lp.seeds and lp.verdict == SCALAR_ONLY:

@@ -112,28 +112,6 @@ class LoopPlan:
         }
 
     @property
-    def batchable(self) -> bool:
-        """True when SVR may run this loop's rounds on the SoA fast path."""
-        return self.verdict in (BATCHABLE, BATCHABLE_WITH_GUARD)
-
-    def guard_pcs(self, *kinds: str) -> frozenset[int]:
-        """All pcs covered by guards of the given kinds (all when empty)."""
-        return frozenset(
-            pc for g in self.guards if not kinds or g.kind in kinds
-            for pc in g.pcs)
-
-    @property
-    def scalar_fallback_pcs(self) -> frozenset[int]:
-        """PCs a batched round must route through the per-lane loop.
-
-        ``transient-store`` and ``may-alias`` guards fire per instruction:
-        the flagged stores/loads take the existing scalar path while the
-        rest of the round stays batched.  ``lane-mask`` guards are *not*
-        here — vectorized divergence masking is their implementation.
-        """
-        return self.guard_pcs("transient-store", "may-alias")
-
-    @property
     def summary(self) -> tuple[int, str, tuple[str, ...], tuple[str, ...]]:
         """Scale-invariant shape used for pinned expectations."""
         return (self.header, self.verdict,
@@ -326,10 +304,10 @@ def plan_for_program(program: Program,
     """The (cached) :class:`VectorizationPlan` for *program*.
 
     The first call per ``(program, vector_length)`` runs the full CFG /
-    dependence / taint analysis; repeat lookups — one per PRM round in
-    the SVR unit's plan-keyed dispatch — are a dict hit.  The cache lives
-    on the program object itself, so rebuilt workloads (new Program) are
-    re-analysed and mutated programs cannot serve stale plans.
+    dependence / taint analysis; repeat lookups are a dict hit.  The
+    cache lives on the program object itself, so rebuilt workloads (new
+    Program) are re-analysed and mutated programs cannot serve stale
+    plans.
     """
     cache: dict[int, VectorizationPlan] | None = getattr(
         program, _PLAN_CACHE_ATTR, None)

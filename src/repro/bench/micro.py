@@ -1,6 +1,6 @@
 """The microbenchmark catalogue: hot paths of the simulator itself.
 
-Ten benchmarks across five groups, registered with
+Nine benchmarks across five groups, registered with
 :mod:`repro.bench.registry` at import time:
 
 * ``core.*``  — in-order and out-of-order core stepping over a real
@@ -36,8 +36,7 @@ _WARMUP = 400
 
 
 def _core_setup(ctx: BenchContext, workload: str, *,
-                svr_length: int | None = None, ooo: bool = False,
-                lane_engine: str = "auto"):
+                svr_length: int | None = None, ooo: bool = False):
     """Shared builder for the core-stepping benchmarks."""
     measure = 1_500 if ctx.quick else 6_000
     wl = build_workload(workload, "tiny")
@@ -45,8 +44,7 @@ def _core_setup(ctx: BenchContext, workload: str, *,
     if ooo:
         core = OutOfOrderCore(wl.program, wl.memory, hierarchy)
     else:
-        svr = (ScalarVectorUnit(SVRConfig(vector_length=svr_length,
-                                          lane_engine=lane_engine))
+        svr = (ScalarVectorUnit(SVRConfig(vector_length=svr_length))
                if svr_length is not None else None)
         core = InOrderCore(wl.program, wl.memory, hierarchy, svr=svr)
     core.run(_WARMUP)
@@ -78,13 +76,6 @@ def _bench_ooo(ctx: BenchContext):
                       "issue, taint/stride training (Camel)")
 def _bench_svr(ctx: BenchContext):
     return _core_setup(ctx, "Camel", svr_length=16)
-
-
-@register("svr.soa.round", group="svr", unit="instructions",
-          description="SVR64 batched SoA lane rounds (forced 'soa' "
-                      "engine, Camel) — the numpy fast path end to end")
-def _bench_svr_soa(ctx: BenchContext):
-    return _core_setup(ctx, "Camel", svr_length=64, lane_engine="soa")
 
 
 @register("mem.cache.access", group="mem", unit="accesses",

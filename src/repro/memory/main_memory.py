@@ -42,9 +42,10 @@ class MainMemory:
 
     @property
     def words(self) -> np.ndarray:
-        """The backing word array (uint64), for vectorized lane gathers.
+        """The whole memory image (uint64 words), for comparing final
+        architectural state between runs.
 
-        Treat as read-only: writes must go through :meth:`write_word` /
+        Read-only: writes must go through :meth:`write_word` /
         :meth:`write_array` so wrapping stays uniform.
         """
         return self._words

@@ -44,16 +44,6 @@ class SVRConfig:
     policy: LoopBoundPolicy = LoopBoundPolicy.TOURNAMENT
     recycling: RecyclingPolicy = RecyclingPolicy.LRU
     waiting_mode: bool = True         # Section IV-A5 (ablated in VI-D)
-    # Lane execution engine for SVI rounds (repro.svr.lanes):
-    #   'auto'   — batched SoA rounds where the static VectorizationPlan
-    #              proves it legal (BATCHABLE / BATCHABLE_WITH_GUARD),
-    #              per-lane scalar loops otherwise;
-    #   'soa'    — force batched rounds regardless of the plan (the
-    #              kernels are exact, so this is safe; used by benchmarks
-    #              and the equivalence suite);
-    #   'scalar' — force the per-lane loops everywhere (the reference
-    #              path the SoA engine is gated against).
-    lane_engine: str = "auto"
     scalars_per_unit: int = 1         # Fig 16: lanes per execute slot
     # Ablation (Section VI-D, Lockstep Coupling): give SVIs a free second
     # issue context (DVR-style decoupling) instead of sharing the main
@@ -93,10 +83,6 @@ class SVRConfig:
         if self.ewma_cap < 1:
             raise ValueError(
                 f"SVRConfig.ewma_cap must be >= 1, got {self.ewma_cap}")
-        if self.lane_engine not in ("auto", "soa", "scalar"):
-            raise ValueError(
-                f"SVRConfig.lane_engine must be 'auto', 'soa' or 'scalar', "
-                f"got {self.lane_engine!r}")
         if self.scalars_per_unit < 1:
             raise ValueError(
                 f"SVRConfig.scalars_per_unit must be >= 1, got "

@@ -24,31 +24,16 @@ This module implements Sections IV-A and IV-B of the paper end to end:
 * **Throttling** — the loop-bound unit decides N' (Fig 15 policies); the
   accuracy monitor can ban triggering entirely (Section IV-A7).
 
-Lane execution has two engines (``SVRConfig.lane_engine``):
-
-* the **scalar fallback** — the original per-lane Python loops; and
-* the **SoA fast path** (:mod:`repro.svr.lanes`) — each SVI of a round
-  executes as one batched numpy op across all active lanes, over the
-  structure-of-arrays SRF and a ``bool``-ndarray HSLR mask.
-
-Dispatch is keyed **statically**: at PRM entry the seed pc is looked up
-in the program's :class:`~repro.analysis.vectorplan.VectorizationPlan`
-(cached on the stride-detector entry).  ``BATCHABLE`` /
-``BATCHABLE_WITH_GUARD`` rounds run batched; ``SCALAR_ONLY`` rounds,
-unplanned seeds and oracle-instrumented runs take the scalar loops.
-Inside a batched round, a firing guard falls back per instruction:
-``transient-store`` and ``may-alias`` pcs run the per-lane loop, an
-opcode without an exact 64-bit vector kernel (FMUL) runs scalar, and
-``lane-mask`` guards *are* the vectorized divergence masking.  Both
-engines produce byte-identical simulator outputs; only wall-clock speed
-differs (``tests/test_svr_soa_equiv.py`` pins this).
+Lane execution is the paper's own model (Section IV-A): each SVI issues
+as N scalar copies, so every lane is one iteration of a plain Python loop
+over the speculative register file's per-entry lane lists and the HSLR
+lane mask (a list of bools).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
+from itertools import compress
 
 from repro.isa.executor import alu_fn
 from repro.isa.instructions import OpClass
@@ -57,32 +42,17 @@ from repro.obs.probes import default_bus
 from repro.svr.accuracy import AccuracyMonitor
 from repro.svr.chain import ChainRecorder
 from repro.svr.config import SVRConfig
-from repro.svr.lanes import (
-    LaneEngineStats,
-    branch_outcomes,
-    expand_group_slots,
-    gather_words,
-    offset_targets,
-    stride_targets,
-    vector_alu_fn,
-)
 from repro.svr.loop_bound import LoopBoundUnit
 from repro.svr.overhead import overhead_kib
 from repro.svr.srf import SpeculativeRegisterFile
 from repro.svr.stride_detector import StrideDetector, StrideEntry
 from repro.svr.taint_tracker import TaintTracker
 
-_EMPTY_PCS: frozenset[int] = frozenset()
-
 
 @dataclass
 class SvrStats:
-    """Counters for one measured region (reset with the core's stats).
-
-    Everything here is *simulated* behaviour and therefore identical
-    between the scalar and the SoA lane engines; engine-dispatch counters
-    live in :class:`repro.svr.lanes.LaneEngineStats` instead.
-    """
+    """Counters of simulated SVR behaviour for one measured region
+    (reset with the core's stats)."""
 
     prm_rounds: int = 0
     svi_lanes: int = 0            # scalar copies issued (all classes)
@@ -129,27 +99,19 @@ class ScalarVectorUnit:
         self.monitor.probe = self.bus.probe("svr.accuracy_ban")
         self.chain_log = ChainRecorder()
         self.stats = SvrStats()
-        self.engine_stats = LaneEngineStats()
         # Opt-in dynamic oracle (repro.analysis.oracle.OracleRecorder).
         # When None — the default — every hook site pays one `is not None`
-        # test, keeping the simulator hot path clean.  Oracle-instrumented
-        # rounds always run the scalar engine (per-lane observe ordering).
+        # test, keeping the simulator hot path clean.
         self.oracle = None
         self.core = None
         self._context_slots = None      # decoupled-context ablation
         self.in_prm = False
         self.hslr_pc: int | None = None
-        # HSLR lane mask, structure-of-arrays form: one bool per lane.
-        self.mask = np.zeros(cfg.vector_length, dtype=bool)
-        self._lane_index = np.arange(cfg.vector_length)
+        self.mask = [False] * cfg.vector_length     # HSLR lane mask
         self._prm_instructions = 0      # main-thread instrs since PRM entry
         self._prm_enter_time = 0.0      # issue time of the triggering load
         self._lil_offset = 0            # offset of last dependent load SVI
         self._generation_stopped = False
-        # Plan-keyed engine dispatch state for the current round.
-        self._plan = None               # VectorizationPlan | False once built
-        self._round_batched = False
-        self._round_scalar_pcs: frozenset[int] = _EMPTY_PCS
 
     # -- wiring -----------------------------------------------------------------
 
@@ -174,68 +136,13 @@ class ScalarVectorUnit:
             return time
         return self.core.issue_transient(earliest)
 
-    def _svi_group_slots(self, earliest: float, count: int) -> np.ndarray:
-        """*count* SVI issue slots as a vector (batched `_svi_slot`)."""
-        if self._context_slots is not None:
-            out = self._context_slots.allocate_many(earliest, count)
-            if count:
-                stats = self.core.stats
-                last = out[count - 1] + 1.0
-                if last > stats.end_cycle:
-                    stats.end_cycle = last
-            return out
-        return self.core.issue_transient_many(earliest, count)
-
     def reset_stats(self) -> None:
         self.stats = SvrStats()
-        self.engine_stats = LaneEngineStats()
 
     @property
     def state_kib(self) -> float:
         """SVR SRAM overhead for the energy model (Table II)."""
         return overhead_kib(self.config.vector_length, self.config.srf_entries)
-
-    # -- plan-keyed engine dispatch ------------------------------------------------
-
-    def _program_plan(self):
-        """The program's VectorizationPlan, built once (False on failure)."""
-        if self._plan is None:
-            try:
-                from repro.analysis.vectorplan import plan_for_program
-
-                self._plan = plan_for_program(self.core.program,
-                                              self.config.vector_length)
-            except Exception:
-                # Static analysis must never take the simulator down; an
-                # unplannable program simply keeps the scalar engine.
-                self._plan = False
-        return self._plan
-
-    def _seed_dispatch(self, entry: StrideEntry) -> bool:
-        """Resolve (and cache on *entry*) the engine for rounds at this seed.
-
-        Returns True when the round may run batched; as a side effect the
-        entry carries the guard pcs a batched round must route through
-        the scalar loop.
-        """
-        if not entry.plan_resolved:
-            entry.plan_resolved = True
-            engine = self.config.lane_engine
-            if engine == "scalar":
-                entry.batchable = False
-            else:
-                plan = self._program_plan()
-                lp = plan.plan_for_seed(entry.pc) if plan else None
-                if lp is None:
-                    self.engine_stats.plan_misses += 1
-                    # 'soa' forces batching (the kernels are exact);
-                    # 'auto' without a plan stays on the reference path.
-                    entry.batchable = engine == "soa"
-                    entry.scalar_fallback_pcs = _EMPTY_PCS
-                else:
-                    entry.batchable = engine == "soa" or lp.batchable
-                    entry.scalar_fallback_pcs = lp.scalar_fallback_pcs
-        return entry.batchable
 
     # -- core callback ----------------------------------------------------------
 
@@ -376,19 +283,8 @@ class ScalarVectorUnit:
         self._prm_enter_time = issue_time
         self._lil_offset = 0
         self._generation_stopped = False
-        self.mask = self._lane_index < length
+        self.mask = [True] * length + [False] * (cfg.vector_length - length)
         self.stats.prm_rounds += 1
-        # Engine dispatch for this round: static plan verdict at the seed,
-        # cached on the detector entry; oracle instrumentation pins the
-        # per-lane reference path.
-        batched = self._seed_dispatch(entry) and self.oracle is None
-        self._round_batched = batched
-        self._round_scalar_pcs = (entry.scalar_fallback_pcs if batched
-                                  else _EMPTY_PCS)
-        if batched:
-            self.engine_stats.batched_rounds += 1
-        else:
-            self.engine_stats.scalar_rounds += 1
         if self.oracle is not None:
             self.oracle.on_round_start(entry.pc)
         if self._p_enter.enabled:
@@ -426,24 +322,6 @@ class ScalarVectorUnit:
             self.taint.taint_unmapped(inst.rd)
             return
         self.taint.map(inst.rd, srf_id, self._prm_instructions)
-        if self._round_batched:
-            last_prefetched = self._stride_lanes_soa(entry, inst, addr,
-                                                     issue_time, shared_mask,
-                                                     length, srf_id)
-        else:
-            last_prefetched = self._stride_lanes_scalar(entry, inst, addr,
-                                                        issue_time,
-                                                        shared_mask, length,
-                                                        srf_id)
-        if cfg.waiting_mode:
-            self.detector.record_prefetch_range(entry, addr, last_prefetched)
-
-    def _stride_lanes_scalar(self, entry: StrideEntry, inst, addr: int,
-                             issue_time: float, shared_mask: bool,
-                             length: int, srf_id: int) -> int:
-        """Per-lane reference loop for the stride SVIs of one round."""
-        cfg = self.config
-        oracle = self.oracle
         stride = entry.stride
         hierarchy = self.core.hierarchy
         memory = self.core.memory
@@ -470,74 +348,8 @@ class ScalarVectorUnit:
             self.srf.write_lane(srf_id, lane, value,
                                 completion if completion is not None else slot)
             last_prefetched = target
-        return last_prefetched
-
-    def _stride_lanes_soa(self, entry: StrideEntry, inst, addr: int,
-                          issue_time: float, shared_mask: bool,
-                          length: int, srf_id: int) -> int:
-        """Batched stride SVIs: one vector op over all active lanes.
-
-        Addresses, the memory gather and the SRF write are single numpy
-        ops; prefetch issue stays per-lane (the memory hierarchy is a
-        stateful sequential model) but consumes the precomputed address
-        vector.
-        """
-        if shared_mask:
-            lanes = np.flatnonzero(self.mask[:length])
-        else:
-            lanes = self._lane_index[:length]
-        n = lanes.size
-        if n == 0:
-            return addr
-        self.engine_stats.batched_ops += 1
-        targets = stride_targets(addr, entry.stride, lanes)
-        self.stats.svi_lanes += n
-        self.stats.svi_load_lanes += n
-        slots = self._stride_slot_vector(lanes, issue_time)
-        # Per-lane prefetch issue in lane order, exactly as the scalar
-        # loop interleaves it (IssueSlots and the hierarchy share no
-        # state, so batching the slot allocations first is equivalent).
-        hierarchy = self.core.hierarchy
-        prefetch = hierarchy.prefetch
-        target_ints = targets.tolist()
-        slot_floats = slots.tolist()
-        ready = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            completion = prefetch(target_ints[i], slot_floats[i], "svr",
-                                  drop_on_full=False)
-            ready[i] = slot_floats[i] if completion is None else completion
-        values, in_bounds = gather_words(self.core.memory.words, targets)
-        if in_bounds.all():
-            self.srf.write_lanes(srf_id, lanes, values, ready)
-            return target_ints[-1]
-        oob = ~in_bounds
-        self.mask[lanes[oob]] = False
-        self.stats.masked_lanes += int(oob.sum())
-        if in_bounds.any():
-            self.srf.write_lanes(srf_id, lanes[in_bounds], values[in_bounds],
-                                 ready[in_bounds])
-            return int(targets[in_bounds][-1])
-        return addr
-
-    def _stride_slot_vector(self, lanes: np.ndarray,
-                            issue_time: float) -> np.ndarray:
-        """Per-lane issue slots for stride SVIs over *lanes*.
-
-        The scalar loop allocates a slot whenever the **absolute** lane
-        index crosses a group boundary (``lane % scalars_per_unit == 0``)
-        and reuses the previous slot otherwise; surviving lanes before
-        the first boundary keep ``issue_time``.
-        """
-        spu = self.config.scalars_per_unit
-        if spu == 1:
-            return self._svi_group_slots(issue_time, lanes.size)
-        boundaries = (lanes % spu) == 0
-        n_alloc = int(boundaries.sum())
-        if n_alloc == 0:
-            return np.full(lanes.size, issue_time, dtype=np.float64)
-        alloc = self._svi_group_slots(issue_time, n_alloc)
-        fill = np.cumsum(boundaries) - 1
-        return np.where(fill < 0, issue_time, alloc[np.maximum(fill, 0)])
+        if cfg.waiting_mode:
+            self.detector.record_prefetch_range(entry, addr, last_prefetched)
 
     # -- dependent-chain SVIs ------------------------------------------------------
 
@@ -551,21 +363,6 @@ class ScalarVectorUnit:
             return self.srf.read_lane(tentry.srf_id, lane)
         return self.core.regs.read(reg), 0.0, True
 
-    def _lane_operands_soa(self, reg: int | None, lanes: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized :meth:`_lane_operand` over a lane-index vector."""
-        n = lanes.size
-        if reg is not None:
-            tentry = self.taint.entry(reg)
-            if tentry.tainted and tentry.mapped:
-                self.taint.touch_read(reg, self._prm_instructions)
-                return self.srf.read_lanes(tentry.srf_id, lanes)
-            value = self.core.regs.read(reg)
-        else:
-            value = 0
-        return (np.full(n, value, dtype=np.uint64),
-                np.zeros(n, dtype=np.float64), np.ones(n, dtype=bool))
-
     def _dependent_logic(self, pc: int, inst, result, issue_time: float) -> None:
         """Generate SVIs for an instruction reading tainted registers."""
         opclass = inst.opclass
@@ -575,15 +372,10 @@ class ScalarVectorUnit:
             self.chain_log.record_dependent(pc)
         vectorizable = bool(tainted_srcs) and all(
             self.taint.is_vectorizable(r) for r in tainted_srcs)
-        batched = self._round_batched
 
         if inst.is_branch:
             if vectorizable:
-                if batched:
-                    self._mask_divergent_lanes_soa(pc, inst, result,
-                                                   issue_time)
-                else:
-                    self._mask_divergent_lanes(pc, inst, result, issue_time)
+                self._mask_divergent_lanes(pc, inst, result, issue_time)
             return
 
         if not tainted_srcs:
@@ -614,30 +406,12 @@ class ScalarVectorUnit:
                 self.taint.taint_unmapped(inst.rd)
             return
         if inst.is_load:
-            if batched and pc not in self._round_scalar_pcs:
-                self._generate_dependent_load_soa(pc, inst, issue_time)
-            else:
-                if batched:
-                    # may-alias guard fired: this load takes the per-lane
-                    # reference path.
-                    self.engine_stats.guard_scalar_ops += 1
-                self._generate_dependent_load(pc, inst, issue_time)
+            self._generate_dependent_load(pc, inst, issue_time)
             self._lil_offset = self._prm_instructions
         elif inst.is_store:
-            # transient-store guard: stores only prefetch their target
-            # lines and always run the per-lane path.
-            if batched:
-                self.engine_stats.guard_scalar_ops += 1
             self._generate_dependent_store(pc, inst, issue_time)
         elif opclass in (OpClass.ALU, OpClass.FP, OpClass.CMP):
-            kernel = vector_alu_fn(inst) if batched else None
-            if kernel is not None:
-                self._generate_dependent_alu_soa(inst, issue_time, kernel)
-            else:
-                if batched:
-                    # No exact 64-bit vector kernel (FMUL): scalar lanes.
-                    self.engine_stats.guard_scalar_ops += 1
-                self._generate_dependent_alu(inst, issue_time)
+            self._generate_dependent_alu(inst, issue_time)
 
     def _check_lil_cutoff(self) -> None:
         """Stop generating past the learned Last Indirect Load offset."""
@@ -648,21 +422,8 @@ class ScalarVectorUnit:
                 and self._prm_instructions > entry.lil_offset):
             self._generation_stopped = True
 
-    def _active_lanes(self):
-        return np.flatnonzero(self.mask).tolist()
-
-    def _dependent_group_slots(self, count: int,
-                               issue_time: float) -> np.ndarray:
-        """Per-lane slots for a dependent SVI over *count* active lanes.
-
-        Dependent loops group by the enumerate count over the active-lane
-        snapshot (``count % scalars_per_unit == 0``), unlike the stride
-        loop's absolute lane index.
-        """
-        spu = self.config.scalars_per_unit
-        groups = -(-count // spu)
-        return expand_group_slots(self._svi_group_slots(issue_time, groups),
-                                  count, spu)
+    def _active_lanes(self) -> list[int]:
+        return list(compress(range(len(self.mask)), self.mask))
 
     def _mask_divergent_lanes(self, pc: int, inst, result,
                               issue_time: float) -> None:
@@ -683,23 +444,6 @@ class ScalarVectorUnit:
                 self.stats.masked_lanes += 1
                 if self.oracle is not None:
                     self.oracle.observe_mask(pc)
-
-    def _mask_divergent_lanes_soa(self, pc: int, inst, result,
-                                  issue_time: float) -> None:
-        """Batched divergence masking: all lane outcomes in one vector op."""
-        lanes = np.flatnonzero(self.mask)
-        n = lanes.size
-        if n == 0:
-            return
-        self.engine_stats.batched_ops += 1
-        self._dependent_group_slots(n, issue_time)   # lockstep issue cost
-        self.stats.svi_lanes += n
-        values, _ready, valid = self._lane_operands_soa(inst.rs1, lanes)
-        taken = branch_outcomes(inst, values)
-        diverged = ~valid | (taken != bool(result.taken))
-        if diverged.any():
-            self.mask[lanes[diverged]] = False
-            self.stats.masked_lanes += int(diverged.sum())
 
     def _generate_dependent_load(self, pc: int, inst,
                                  issue_time: float) -> None:
@@ -735,54 +479,6 @@ class ScalarVectorUnit:
             values.append((lane, value,
                            completion if completion is not None else start))
         self._write_dest_lanes(inst.rd, values)
-
-    def _generate_dependent_load_soa(self, pc: int, inst,
-                                     issue_time: float) -> None:
-        """Batched dependent load: vector addresses, per-lane prefetch."""
-        lanes = np.flatnonzero(self.mask)
-        n = lanes.size
-        if n:
-            self.engine_stats.batched_ops += 1
-            slots = self._dependent_group_slots(n, issue_time)
-            self.stats.svi_lanes += n
-            self.stats.svi_load_lanes += n
-            base, src_ready, valid = self._lane_operands_soa(inst.rs1, lanes)
-            if not valid.all():
-                invalid = ~valid
-                self.mask[lanes[invalid]] = False
-                self.stats.masked_lanes += int(invalid.sum())
-                lanes = lanes[valid]
-                base = base[valid]
-                src_ready = src_ready[valid]
-                slots = slots[valid]
-                n = lanes.size
-        if n == 0:
-            # The scalar loop still (re)allocates the destination vector.
-            self._write_dest_lanes_soa(
-                inst.rd, lanes if isinstance(lanes, np.ndarray) else
-                np.empty(0, dtype=np.intp),
-                np.empty(0, dtype=np.uint64), np.empty(0, dtype=np.float64))
-            return
-        targets = offset_targets(base, inst.imm)
-        starts = np.maximum(slots, src_ready)
-        hierarchy = self.core.hierarchy
-        prefetch = hierarchy.prefetch
-        target_ints = targets.tolist()
-        start_floats = starts.tolist()
-        ready = np.empty(n, dtype=np.float64)
-        for i in range(n):
-            completion = prefetch(target_ints[i], start_floats[i], "svr",
-                                  drop_on_full=False)
-            ready[i] = start_floats[i] if completion is None else completion
-        values, in_bounds = gather_words(self.core.memory.words, targets)
-        if not in_bounds.all():
-            oob = ~in_bounds
-            self.mask[lanes[oob]] = False
-            self.stats.masked_lanes += int(oob.sum())
-            lanes = lanes[in_bounds]
-            values = values[in_bounds]
-            ready = ready[in_bounds]
-        self._write_dest_lanes_soa(inst.rd, lanes, values, ready)
 
     def _generate_dependent_store(self, pc: int, inst,
                                   issue_time: float) -> None:
@@ -834,40 +530,6 @@ class ScalarVectorUnit:
             values.append((lane, value, ready))
         self._write_dest_lanes(inst.rd, values)
 
-    def _generate_dependent_alu_soa(self, inst, issue_time: float,
-                                    kernel) -> None:
-        """Batched dependent ALU/CMP/FP: one vector kernel over all lanes."""
-        lanes = np.flatnonzero(self.mask)
-        n = lanes.size
-        if n == 0:
-            self._write_dest_lanes_soa(inst.rd, lanes,
-                                       np.empty(0, dtype=np.uint64),
-                                       np.empty(0, dtype=np.float64))
-            return
-        self.engine_stats.batched_ops += 1
-        slots = self._dependent_group_slots(n, issue_time)
-        self.stats.svi_lanes += n
-        a, ready_a, valid = self._lane_operands_soa(inst.rs1, lanes)
-        if inst.rs2 is not None:
-            b, ready_b, valid_b = self._lane_operands_soa(inst.rs2, lanes)
-            valid = valid & valid_b
-            src_ready = np.maximum(ready_a, ready_b)
-        else:
-            b = np.zeros(n, dtype=np.uint64)
-            src_ready = ready_a
-        if not valid.all():
-            invalid = ~valid
-            self.mask[lanes[invalid]] = False
-            self.stats.masked_lanes += int(invalid.sum())
-            lanes = lanes[valid]
-            a = a[valid]
-            b = b[valid]
-            slots = slots[valid]
-            src_ready = src_ready[valid]
-        values = kernel(a, b, inst.imm)
-        ready = np.maximum(slots, src_ready) + 1.0
-        self._write_dest_lanes_soa(inst.rd, lanes, values, ready)
-
     def _write_dest_lanes(self, rd: int | None,
                           values: list[tuple[int, int, float]]) -> None:
         if rd is None:
@@ -882,20 +544,6 @@ class ScalarVectorUnit:
         for lane, value, ready in values:
             self.srf.write_lane(srf_id, lane, value, ready)
 
-    def _write_dest_lanes_soa(self, rd: int | None, lanes: np.ndarray,
-                              values: np.ndarray,
-                              ready: np.ndarray) -> None:
-        """Vectorized :meth:`_write_dest_lanes`: one fancy-indexed write."""
-        if rd is None:
-            return
-        srf_id = self.srf.allocate(rd, self.taint)
-        if srf_id is None:
-            self.taint.taint_unmapped(rd)
-            return
-        self.taint.map(rd, srf_id, self._prm_instructions)
-        if lanes.size:
-            self.srf.write_lanes(srf_id, lanes, values, ready)
-
     # -- termination -------------------------------------------------------------
 
     def _terminate(self, cause: str, time: float | None = None) -> None:
@@ -907,10 +555,8 @@ class ScalarVectorUnit:
                 self.detector.record_lil(entry, self._lil_offset)
         self.taint.clear()
         self.srf.release_all()
-        self.mask = np.zeros(self.config.vector_length, dtype=bool)
+        self.mask = [False] * self.config.vector_length
         self.in_prm = False
-        self._round_batched = False
-        self._round_scalar_pcs = _EMPTY_PCS
         if self.oracle is not None:
             self.oracle.on_round_end()
         self._generation_stopped = False

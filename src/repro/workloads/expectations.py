@@ -252,31 +252,6 @@ PLAN_EXPECTATIONS: dict[str, tuple[LoopSummary, ...]] = {
 _GAP_KERNEL_PREFIXES = ("BC", "BFS", "CC", "PR", "SSSP")
 
 
-# -- SoA lane-engine equivalence matrix -------------------------------------
-#
-# ``(workload, technique)`` cells over which the scalar and the SoA lane
-# engines must produce byte-identical ``SimResult.to_dict()`` exports
-# (``tests/test_svr_soa_equiv.py`` and the CI equivalence gate both
-# iterate this list).  The cells cover the full fallback matrix:
-# clean BATCHABLE rounds (Camel), lane-mask-guarded rounds (HJ2 / HJ8),
-# per-instruction may-alias / transient-store fallbacks (Randacc, Kangr,
-# BFS), mixed-verdict programs (NAS-CG, CC), and a SCALAR_ONLY program
-# where 'auto' must never batch (mcf).
-
-SOA_EQUIVALENCE_CELLS: tuple[tuple[str, str], ...] = (
-    ("Camel", "svr16"),
-    ("Camel", "svr64"),
-    ("HJ2", "svr16"),
-    ("HJ8", "svr16"),
-    ("Randacc", "svr16"),
-    ("Kangr", "svr16"),
-    ("BFS_KR", "svr16"),
-    ("NAS-CG", "svr16"),
-    ("CC_KR", "svr16"),
-    ("mcf", "svr16"),
-)
-
-
 def plan_expectation(name: str) -> tuple[LoopSummary, ...] | None:
     """Pinned plan summary for workload *name* (GAP variants collapse to
     their bare kernel key), or ``None`` if the name is not pinned."""
