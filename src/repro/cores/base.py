@@ -12,6 +12,8 @@ import enum
 import math
 from dataclasses import dataclass, field
 
+from repro.isa.instructions import OpClass
+
 
 class SimulationError(RuntimeError):
     """A simulator-side guard tripped (watchdog fence, injected hang).
@@ -59,18 +61,20 @@ class StallReason(enum.Enum):
     BRANCH = "branch"
     OTHER = "other"
 
+    # Members are singletons that compare by identity, so the identity hash
+    # agrees with equality.  It keeps the cores' per-instruction stall
+    # updates (``stall_cycles[reason] += cycles``) free of Enum's
+    # Python-level ``__hash__``.
+    __hash__ = object.__hash__
 
-_LEVEL_TO_REASON = {
+
+# CPI-stack bucket of a stall on a value produced at each memory level
+# (``AccessOutcome.level``); every other producer stalls as OTHER.
+LEVEL_TO_REASON = {
     "l1": StallReason.MEM_L1,
     "l2": StallReason.MEM_L2,
     "dram": StallReason.MEM_DRAM,
-    "alu": StallReason.OTHER,
 }
-
-
-def stall_reason_for_level(level: str) -> StallReason:
-    """Map a producing memory level / unit to its CPI-stack bucket."""
-    return _LEVEL_TO_REASON.get(level, StallReason.OTHER)
 
 
 @dataclass
@@ -123,10 +127,6 @@ class CoreStats:
     def ipc(self) -> float:
         return self.instructions / self.cycles if self.cycles else 0.0
 
-    def add_stall(self, reason: StallReason, cycles: float) -> None:
-        if cycles > 0:
-            self.stall_cycles[reason] += cycles
-
     def cpi_stack(self) -> dict[str, float]:
         """CPI contributions per bucket; 'base' is the residual issue CPI."""
         if not self.instructions:
@@ -140,9 +140,10 @@ class CoreStats:
 
 def check_watchdog(core) -> None:
     """Raise :class:`SimulationError` when *core* has blown past its
-    configured watchdog fence (called once per committed instruction from
-    the run loop of both cores).  Emits a ``core.watchdog`` probe event
-    before raising so observability layers can count trips."""
+    configured watchdog fence.  The run loops of both cores compare the
+    fence limits inline and call this only once one is exceeded.  Emits a
+    ``core.watchdog`` probe event before raising so observability layers
+    can count trips."""
     cfg = core.config
     tripped = None
     if (cfg.watchdog_max_cycles is not None
@@ -165,6 +166,56 @@ def check_watchdog(core) -> None:
         instructions=core.lifetime_instructions)
 
 
+def exec_latencies(program, config: CoreConfig) -> list[float]:
+    """Per-pc execute latency of *program*'s ALU, FP and CMP ops, decoded
+    once per core."""
+    return [config.mul_latency if inst.is_multiply
+            else config.fp_latency if inst.opclass is OpClass.FP
+            else config.alu_latency
+            for inst in program.instructions]
+
+
+def run_window(core, max_instructions: int, progress=None) -> CoreStats:
+    """The run loop of both cores: step *core* until HALT or
+    *max_instructions* committed in this window, then return its stats.
+
+    The watchdog limits are compared inline; :func:`check_watchdog` is
+    called only once one is exceeded, to emit and raise.  With a
+    :class:`repro.obs.ProgressReporter` as *progress*, frames are emitted
+    on a committed-instruction countdown; the default ``None`` path is a
+    loop of its own, free of that bookkeeping.
+    """
+    cfg = core.config
+    max_cycles = cfg.watchdog_max_cycles
+    max_lifetime = cfg.watchdog_max_instructions
+    if max_cycles is None:
+        max_cycles = math.inf
+    if max_lifetime is None:
+        max_lifetime = math.inf
+    step = core.step
+    executed = 0
+    if progress is not None:
+        countdown = progress.interval
+        while executed < max_instructions and step():
+            executed += 1
+            core.lifetime_instructions += 1
+            if (core.stats.end_cycle > max_cycles
+                    or core.lifetime_instructions > max_lifetime):
+                check_watchdog(core)
+            countdown -= 1
+            if countdown <= 0:
+                countdown = progress.interval
+                progress.sample(core)
+        return core.stats
+    while executed < max_instructions and step():
+        executed += 1
+        core.lifetime_instructions += 1
+        if (core.stats.end_cycle > max_cycles
+                or core.lifetime_instructions > max_lifetime):
+            check_watchdog(core)
+    return core.stats
+
+
 class IssueSlots:
     """Tracks issue bandwidth: at most ``width`` issues per integer cycle.
 
@@ -174,40 +225,36 @@ class IssueSlots:
     that spawned them.
     """
 
-    __slots__ = ("width", "_cycle", "_used")
+    __slots__ = ("width", "cycle", "_used")
 
     def __init__(self, width: int) -> None:
         if width < 1:
             raise ValueError("issue width must be >= 1")
         self.width = width
-        self._cycle = 0
+        self.cycle = 0       # the integer cycle slots are being handed out in
         self._used = 0
-
-    @property
-    def current_cycle(self) -> int:
-        return self._cycle
 
     def allocate(self, earliest: float) -> float:
         """Reserve one slot at or after *earliest*; return the issue time."""
-        if earliest < self._cycle:
-            earliest = float(self._cycle)
+        if earliest < self.cycle:
+            earliest = float(self.cycle)
         cycle = math.floor(earliest)
-        if cycle > self._cycle:
-            self._cycle = cycle
+        if cycle > self.cycle:
+            self.cycle = cycle
             self._used = 1
             return earliest
         if self._used < self.width:
             self._used += 1
             return earliest
-        self._cycle += 1
+        self.cycle += 1
         self._used = 1
-        return float(self._cycle)
+        return float(self.cycle)
 
     def peek(self, earliest: float) -> float:
         """Issue time :meth:`allocate` would return, without reserving."""
-        if earliest < self._cycle:
-            earliest = float(self._cycle)
+        if earliest < self.cycle:
+            earliest = float(self.cycle)
         cycle = math.floor(earliest)
-        if cycle > self._cycle or self._used < self.width:
+        if cycle > self.cycle or self._used < self.width:
             return earliest
-        return float(self._cycle + 1)
+        return float(self.cycle + 1)

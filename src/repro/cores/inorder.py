@@ -18,17 +18,28 @@ from collections import deque
 
 from repro.branch.predictor import HybridBranchPredictor
 from repro.cores.base import (
+    LEVEL_TO_REASON,
     CoreConfig,
     CoreStats,
     IssueSlots,
     StallReason,
-    check_watchdog,
-    stall_reason_for_level,
+    exec_latencies,
+    run_window,
 )
-from repro.isa.executor import execute
-from repro.isa.instructions import OpClass
+# ``execute`` is not called here: the step below inlines the committed
+# semantics.  The name stays bound because the traced benchmark
+# (perfbench/ledger.py) patches ``execute`` on this module by name.
+from repro.isa.executor import _ALU_BY_INDEX, ExecResult, execute  # noqa: F401
+from repro.isa.instructions import OpClass, Opcode
 from repro.isa.registers import NUM_REGS, RegisterFile
 from repro.obs.probes import default_bus
+
+_MASK64 = (1 << 64) - 1
+_LOAD, _STORE, _BRANCH = OpClass.LOAD, OpClass.STORE, OpClass.BRANCH
+_JUMP, _HALT, _FP = OpClass.JUMP, OpClass.HALT, OpClass.FP
+_COMPUTE = (OpClass.ALU, OpClass.CMP, OpClass.FP)
+_BEQZ = Opcode.BEQZ
+_OTHER, _BRANCH_STALL = StallReason.OTHER, StallReason.BRANCH
 
 
 class InOrderCore:
@@ -52,16 +63,20 @@ class InOrderCore:
         self.halted = False
         self.stats = CoreStats()
         self.lifetime_instructions = 0   # across windows, for the watchdog
+        # Decoded once: the step indexes these instead of calling through
+        # Program, RegisterFile and the config on every instruction.
+        self._insts = program.instructions
+        self._length = len(self._insts)
+        self._latency = exec_latencies(program, self.config)
+        self._regs = self.regs.values
         self._ready = [0.0] * NUM_REGS
-        self._producer = ["alu"] * NUM_REGS
+        # CPI-stack bucket a stall on each register's value is charged to.
+        self._producer = [_OTHER] * NUM_REGS
         self._inflight: deque[float] = deque()
         self._frontend_ready = 0.0
         self.svr = svr
         if svr is not None:
             svr.attach(self)
-        # Optional per-instruction observer: called as
-        # trace(pc, inst, issue_time, completion, outcome) after execution.
-        self.trace = None
 
     # -- helpers used by SVR ----------------------------------------------------
 
@@ -73,7 +88,7 @@ class InOrderCore:
         return time
 
     def now(self) -> float:
-        return float(self.slots.current_cycle)
+        return float(self.slots.cycle)
 
     def delay_frontend(self, until: float) -> None:
         """Hold fetch until *until* (models the register-copy cost ablation
@@ -88,86 +103,115 @@ class InOrderCore:
 
     # -- main loop ------------------------------------------------------------
 
-    def _exec_latency(self, inst) -> float:
-        cfg = self.config
-        if inst.is_multiply:
-            return cfg.mul_latency
-        if inst.opclass is OpClass.FP:
-            return cfg.fp_latency
-        return cfg.alu_latency
-
     def step(self) -> bool:
-        """Issue and execute one instruction; returns False once halted."""
-        if self.halted or self.pc >= len(self.program):
+        """Issue and execute one instruction; returns False once halted.
+
+        One dispatch on the opclass both executes the instruction (the
+        semantics of :func:`repro.isa.executor.execute`, inlined) and times
+        it.
+        """
+        pc = self.pc
+        if self.halted or pc >= self._length:
             self.halted = True
             return False
-        inst = self.program[self.pc]
+        inst = self._insts[pc]
         cfg = self.config
         stats = self.stats
+        stalls = stats.stall_cycles
+        slots = self.slots
 
         # Baseline for stall accounting: when this instruction could issue
         # absent hazards (frontend redirect or issue-bandwidth limit).
-        earliest = max(self._frontend_ready, float(self.slots.current_cycle))
+        earliest = self._frontend_ready
+        if slots.cycle > earliest:
+            earliest = float(slots.cycle)
         # Scoreboard: instruction i waits for completion of i - entries.
-        if len(self._inflight) >= cfg.scoreboard_entries:
-            release = self._inflight.popleft()
+        inflight = self._inflight
+        if len(inflight) >= cfg.scoreboard_entries:
+            release = inflight.popleft()
             if release > earliest:
-                stats.add_stall(StallReason.OTHER, release - earliest)
+                stalls[_OTHER] += release - earliest
                 earliest = release
         # Stall-on-use: wait for source operands.
         src_ready = earliest
-        src_level = None
+        src_reason = _OTHER
         ready_table = self._ready
         for reg in inst.srcs:
             ready = ready_table[reg]
             if ready > src_ready:
                 src_ready = ready
-                src_level = self._producer[reg]
+                src_reason = self._producer[reg]
         if src_ready > earliest:
-            stats.add_stall(stall_reason_for_level(src_level or "alu"),
-                            src_ready - earliest)
+            stalls[src_reason] += src_ready - earliest
             earliest = src_ready
 
-        issue = self.slots.allocate(earliest)
-        result = execute(inst, self.pc, self.regs.read, self.memory)
+        issue = slots.allocate(earliest)
 
-        completion = issue + 1.0
-        outcome = None
+        regs = self._regs
         opclass = inst.opclass
-        if opclass is OpClass.LOAD:
-            outcome = self.hierarchy.load(result.address, issue, self.pc)
-            completion = outcome.completion
-            self.regs.write(inst.rd, result.value)
-            self._ready[inst.rd] = completion
-            self._producer[inst.rd] = outcome.level
-            stats.loads += 1
-        elif opclass is OpClass.STORE:
-            outcome = self.hierarchy.store(result.address, issue, self.pc)
-            completion = outcome.completion
-            stats.stores += 1
-        elif opclass is OpClass.BRANCH:
-            correct = self.predictor.predict_and_update(self.pc, result.taken)
-            if not correct:
-                stats.mispredicts += 1
-                stats.add_stall(StallReason.BRANCH, cfg.mispredict_penalty)
-                self._frontend_ready = issue + 1.0 + cfg.mispredict_penalty
-            stats.branches += 1
-        elif opclass is OpClass.HALT:
-            self.halted = True
-            stats.halted = True
-        elif opclass in (OpClass.ALU, OpClass.FP, OpClass.CMP):
-            latency = self._exec_latency(inst)
-            completion = issue + latency
-            self.regs.write(inst.rd, result.value)
-            self._ready[inst.rd] = completion
-            self._producer[inst.rd] = "alu"
-            if opclass is OpClass.FP:
+        completion = issue + 1.0
+        next_pc = pc + 1
+        outcome = None
+        # The ExecResult fields an attached SVR unit reads.
+        value = address = taken = None
+        src_a = src_b = 0
+        if opclass in _COMPUTE:
+            rs1, rs2 = inst.rs1, inst.rs2
+            if rs1 is not None:
+                src_a = regs[rs1]
+            if rs2 is not None:
+                src_b = regs[rs2]
+            value = _ALU_BY_INDEX[inst.opindex](src_a, src_b, inst.imm)
+            completion = issue + self._latency[pc]
+            rd = inst.rd
+            if rd:
+                regs[rd] = value
+            ready_table[rd] = completion
+            self._producer[rd] = _OTHER
+            if opclass is _FP:
                 stats.fp_ops += 1
             else:
                 stats.alu_ops += 1
-        # JUMP / NOP need no special handling beyond control flow.
+        elif opclass is _LOAD:
+            address = (regs[inst.rs1] + inst.imm) & _MASK64
+            value = self.memory.read_word(address)
+            outcome = self.hierarchy.load(address, issue, pc)
+            completion = outcome.completion
+            rd = inst.rd
+            if rd:
+                regs[rd] = value
+            ready_table[rd] = completion
+            self._producer[rd] = LEVEL_TO_REASON.get(outcome.level, _OTHER)
+            stats.loads += 1
+        elif opclass is _BRANCH:
+            src_a = regs[inst.rs1]
+            taken = (src_a == 0) if inst.op is _BEQZ else (src_a != 0)
+            if taken:
+                next_pc = inst.target
+            if not self.predictor.predict_and_update(pc, taken):
+                stats.mispredicts += 1
+                penalty = cfg.mispredict_penalty
+                if penalty > 0:
+                    stalls[_BRANCH_STALL] += penalty
+                self._frontend_ready = issue + 1.0 + penalty
+            stats.branches += 1
+        elif opclass is _STORE:
+            address = (regs[inst.rs1] + inst.imm) & _MASK64
+            value = regs[inst.rs2]
+            self.memory.write_word(address, value)
+            outcome = self.hierarchy.store(address, issue, pc)
+            completion = outcome.completion
+            stats.stores += 1
+        elif opclass is _JUMP:
+            taken = True
+            next_pc = inst.target
+        elif opclass is _HALT:
+            next_pc = pc
+            self.halted = True
+            stats.halted = True
+        # NOP needs no handling.
 
-        self._inflight.append(completion)
+        inflight.append(completion)
         stats.instructions += 1
         if completion > stats.end_cycle:
             stats.end_cycle = completion
@@ -175,16 +219,18 @@ class InOrderCore:
             stats.end_cycle = issue + 1.0
 
         if self.svr is not None and not self.halted:
-            self.svr.after_issue(self.pc, inst, issue, result, outcome)
+            self.svr.after_issue(
+                pc, inst, issue,
+                ExecResult(value=value, address=address, taken=taken,
+                           next_pc=next_pc, src_a=src_a, src_b=src_b),
+                outcome)
         if self._p_commit.enabled:
             self._p_commit.emit(
-                pc=self.pc, op=inst.op.value, opclass=opclass.name,
+                pc=pc, op=inst.op.value, opclass=opclass.name,
                 issue=issue, completion=completion,
                 level=outcome.level if outcome is not None else None)
-        if self.trace is not None:
-            self.trace(self.pc, inst, issue, completion, outcome)
 
-        self.pc = result.next_pc
+        self.pc = next_pc
         return not self.halted
 
     def run(self, max_instructions: int, progress=None) -> CoreStats:
@@ -193,28 +239,8 @@ class InOrderCore:
         Raises :class:`~repro.cores.base.SimulationError` if the watchdog
         fence (``CoreConfig.watchdog_max_cycles`` / ``_max_instructions``)
         is exceeded.  Pass a :class:`repro.obs.ProgressReporter` as
-        *progress* to emit in-flight frames; the default ``None`` path is
-        the original loop, untouched.
+        *progress* to emit in-flight frames (see
+        :func:`repro.cores.base.run_window`).
         """
-        executed = 0
-        cfg = self.config
-        fenced = (cfg.watchdog_max_cycles is not None
-                  or cfg.watchdog_max_instructions is not None)
-        if progress is not None:
-            countdown = progress.interval
-            while executed < max_instructions and self.step():
-                executed += 1
-                self.lifetime_instructions += 1
-                if fenced:
-                    check_watchdog(self)
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = progress.interval
-                    progress.sample(self)
-            return self.stats
-        while executed < max_instructions and self.step():
-            executed += 1
-            self.lifetime_instructions += 1
-            if fenced:
-                check_watchdog(self)
-        return self.stats
+        return run_window(self, max_instructions, progress)
+

@@ -25,17 +25,28 @@ from collections import deque
 
 from repro.branch.predictor import HybridBranchPredictor
 from repro.cores.base import (
+    LEVEL_TO_REASON,
     CoreConfig,
     CoreStats,
     IssueSlots,
     StallReason,
-    check_watchdog,
-    stall_reason_for_level,
+    exec_latencies,
+    run_window,
 )
-from repro.isa.executor import execute
-from repro.isa.instructions import OpClass
+# ``execute`` is not called here: the step below inlines the committed
+# semantics.  The name stays bound because the traced benchmark
+# (perfbench/ledger.py) patches ``execute`` on this module by name.
+from repro.isa.executor import _ALU_BY_INDEX, execute  # noqa: F401
+from repro.isa.instructions import OpClass, Opcode
 from repro.isa.registers import NUM_REGS, RegisterFile
 from repro.obs.probes import default_bus
+
+_MASK64 = (1 << 64) - 1
+_LOAD, _STORE, _BRANCH = OpClass.LOAD, OpClass.STORE, OpClass.BRANCH
+_JUMP, _HALT, _FP = OpClass.JUMP, OpClass.HALT, OpClass.FP
+_COMPUTE = (OpClass.ALU, OpClass.CMP, OpClass.FP)
+_BEQZ = Opcode.BEQZ
+_OTHER, _BRANCH_STALL = StallReason.OTHER, StallReason.BRANCH
 
 
 class OutOfOrderCore:
@@ -67,8 +78,16 @@ class OutOfOrderCore:
         self.halted = False
         self.stats = CoreStats()
         self.lifetime_instructions = 0   # across windows, for the watchdog
+        # Decoded once: the step indexes these instead of calling through
+        # Program, RegisterFile and the config on every instruction.
+        self._insts = program.instructions
+        self._length = len(self._insts)
+        self._latency = exec_latencies(program, self.config)
+        self._regs = self.regs.values
         self._ready = [0.0] * NUM_REGS
-        self._producer = ["alu"] * NUM_REGS
+        # CPI-stack bucket a commit stall behind each register's value is
+        # charged to.
+        self._producer = [_OTHER] * NUM_REGS
         self._rob: deque[float] = deque()      # commit times, oldest first
         self._lsq: deque[float] = deque()      # commit times of memory ops
         self._frontend_ready = 0.0
@@ -84,145 +103,156 @@ class OutOfOrderCore:
         start = self._commit_tail
         self.stats = CoreStats(start_cycle=start, end_cycle=start)
 
-    def _exec_latency(self, inst) -> float:
-        cfg = self.config
-        if inst.is_multiply:
-            return cfg.mul_latency
-        if inst.opclass is OpClass.FP:
-            return cfg.fp_latency
-        return cfg.alu_latency
-
     def step(self) -> bool:
-        if self.halted or self.pc >= len(self.program):
+        """Dispatch, execute and commit one instruction; returns False once
+        halted.
+
+        One dispatch on the opclass both executes the instruction (the
+        semantics of :func:`repro.isa.executor.execute`, inlined) and times
+        it.
+        """
+        pc = self.pc
+        if self.halted or pc >= self._length:
             self.halted = True
             return False
-        inst = self.program[self.pc]
+        inst = self._insts[pc]
         cfg = self.config
         stats = self.stats
+        index = self._index
+        dispatch_slots = self._dispatch_slots
 
-        dispatch_earliest = max(self._frontend_ready,
-                                float(self._dispatch_slots.current_cycle))
-        if len(self._rob) >= cfg.rob_entries:
-            release = self._rob.popleft()
+        dispatch_earliest = self._frontend_ready
+        if dispatch_slots.cycle > dispatch_earliest:
+            dispatch_earliest = float(dispatch_slots.cycle)
+        rob = self._rob
+        if len(rob) >= cfg.rob_entries:
+            release = rob.popleft()
             if release > dispatch_earliest:
                 # Full-window stall: the VR trigger condition.
                 if self._p_window.enabled:
-                    self._p_window.emit(pc=self.pc, time=dispatch_earliest,
+                    self._p_window.emit(pc=pc, time=dispatch_earliest,
                                         cycles=release - dispatch_earliest)
                 if self.vr is not None:
-                    self.vr.on_window_stall(self.pc, dispatch_earliest,
+                    self.vr.on_window_stall(pc, dispatch_earliest,
                                             release - dispatch_earliest,
-                                            self._index)
+                                            index)
                 dispatch_earliest = release
-        is_mem = inst.opclass in (OpClass.LOAD, OpClass.STORE)
+        is_mem = inst.is_mem
         if is_mem and len(self._lsq) >= cfg.lsq_entries:
-            dispatch_earliest = max(dispatch_earliest, self._lsq.popleft())
-        dispatch = self._dispatch_slots.allocate(dispatch_earliest)
+            release = self._lsq.popleft()
+            if release > dispatch_earliest:
+                dispatch_earliest = release
+        dispatch = dispatch_slots.allocate(dispatch_earliest)
 
         # Operand readiness (register dataflow).
         exec_start = dispatch
-        src_level = None
+        src_reason = _OTHER
         ready_table = self._ready
         for reg in inst.srcs:
             ready = ready_table[reg]
             if ready > exec_start:
                 exec_start = ready
-                src_level = self._producer[reg]
+                src_reason = self._producer[reg]
 
-        result = execute(inst, self.pc, self.regs.read, self.memory)
-
-        completion = exec_start + 1.0
-        level = "alu"
+        regs = self._regs
         opclass = inst.opclass
-        if opclass is OpClass.LOAD:
-            word = result.address >> 3
-            forward = self._store_window.get(word)
-            if forward is not None and forward[0] >= self._index - cfg.rob_entries:
-                completion = max(exec_start, forward[1]) + 1.0
-                level = "alu"  # forwarded, no memory round trip
-            else:
-                outcome = self.hierarchy.load(result.address, exec_start, self.pc)
-                completion = outcome.completion
-                level = outcome.level
-            self.regs.write(inst.rd, result.value)
-            self._ready[inst.rd] = completion
-            self._producer[inst.rd] = level
-            stats.loads += 1
-        elif opclass is OpClass.STORE:
-            outcome = self.hierarchy.store(result.address, exec_start, self.pc)
-            completion = exec_start + 1.0  # store buffered; core moves on
-            self._store_window[result.address >> 3] = (self._index, exec_start)
-            stats.stores += 1
-        elif opclass is OpClass.BRANCH:
-            correct = self.predictor.predict_and_update(self.pc, result.taken)
-            completion = exec_start + 1.0
-            if not correct:
-                stats.mispredicts += 1
-                stats.add_stall(StallReason.BRANCH, cfg.mispredict_penalty)
-                self._frontend_ready = completion + cfg.mispredict_penalty
-            stats.branches += 1
-        elif opclass is OpClass.HALT:
-            self.halted = True
-            stats.halted = True
-        elif opclass in (OpClass.ALU, OpClass.FP, OpClass.CMP):
-            completion = exec_start + self._exec_latency(inst)
-            self.regs.write(inst.rd, result.value)
-            self._ready[inst.rd] = completion
-            self._producer[inst.rd] = src_level or "alu"
-            if opclass is OpClass.FP:
+        completion = exec_start + 1.0
+        next_pc = pc + 1
+        # What a commit stall behind this instruction is charged to.
+        reason = src_reason
+        if opclass in _COMPUTE:
+            rs1, rs2 = inst.rs1, inst.rs2
+            value = _ALU_BY_INDEX[inst.opindex](
+                regs[rs1] if rs1 is not None else 0,
+                regs[rs2] if rs2 is not None else 0, inst.imm)
+            completion = exec_start + self._latency[pc]
+            rd = inst.rd
+            if rd:
+                regs[rd] = value
+            ready_table[rd] = completion
+            self._producer[rd] = src_reason
+            if opclass is _FP:
                 stats.fp_ops += 1
             else:
                 stats.alu_ops += 1
+        elif opclass is _LOAD:
+            address = (regs[inst.rs1] + inst.imm) & _MASK64
+            value = self.memory.read_word(address)
+            forward = self._store_window.get(address >> 3)
+            if forward is not None and forward[0] >= index - cfg.rob_entries:
+                # Forwarded from an in-window store: no memory round trip.
+                data_ready = forward[1]
+                completion = (data_ready if data_ready > exec_start
+                              else exec_start) + 1.0
+                level = "alu"
+                reason = _OTHER
+            else:
+                outcome = self.hierarchy.load(address, exec_start, pc)
+                completion = outcome.completion
+                level = outcome.level
+                reason = LEVEL_TO_REASON.get(level, _OTHER)
+            rd = inst.rd
+            if rd:
+                regs[rd] = value
+            ready_table[rd] = completion
+            self._producer[rd] = reason
+            stats.loads += 1
+        elif opclass is _BRANCH:
+            cond = regs[inst.rs1]
+            taken = (cond == 0) if inst.op is _BEQZ else (cond != 0)
+            if taken:
+                next_pc = inst.target
+            if not self.predictor.predict_and_update(pc, taken):
+                stats.mispredicts += 1
+                penalty = cfg.mispredict_penalty
+                if penalty > 0:
+                    stats.stall_cycles[_BRANCH_STALL] += penalty
+                self._frontend_ready = completion + penalty
+            stats.branches += 1
+        elif opclass is _STORE:
+            address = (regs[inst.rs1] + inst.imm) & _MASK64
+            self.memory.write_word(address, regs[inst.rs2])
+            self.hierarchy.store(address, exec_start, pc)
+            # Store buffered; the core moves on.
+            self._store_window[address >> 3] = (index, exec_start)
+            stats.stores += 1
+        elif opclass is _JUMP:
+            next_pc = inst.target
+        elif opclass is _HALT:
+            next_pc = pc
+            self.halted = True
+            stats.halted = True
+        # NOP needs no handling.
 
         # In-order commit; attribute commit stalls to the producing level.
-        commit_earliest = max(completion, self._commit_tail)
-        if completion > self._commit_tail:
-            reason_level = level if opclass is OpClass.LOAD else (src_level or "alu")
-            stats.add_stall(stall_reason_for_level(reason_level),
-                            completion - self._commit_tail)
+        commit_earliest = self._commit_tail
+        if completion > commit_earliest:
+            stats.stall_cycles[reason] += completion - commit_earliest
+            commit_earliest = completion
         commit = self._commit_slots.allocate(commit_earliest)
         self._commit_tail = commit
-        self._rob.append(commit)
+        rob.append(commit)
         if is_mem:
             self._lsq.append(commit)
         if len(self._store_window) > 4 * cfg.rob_entries:
-            cutoff = self._index - cfg.rob_entries
+            cutoff = index - cfg.rob_entries
             self._store_window = {w: v for w, v in self._store_window.items()
                                   if v[0] >= cutoff}
 
         stats.instructions += 1
-        self._index += 1
+        self._index = index + 1
         if commit + 1.0 > stats.end_cycle:
             stats.end_cycle = commit + 1.0
         if self._p_commit.enabled:
             self._p_commit.emit(
-                pc=self.pc, op=inst.op.value, opclass=opclass.name,
+                pc=pc, op=inst.op.value, opclass=opclass.name,
                 issue=exec_start, completion=completion,
-                level=level if opclass is OpClass.LOAD else None)
+                level=level if opclass is _LOAD else None)
 
-        self.pc = result.next_pc
+        self.pc = next_pc
         return not self.halted
 
     def run(self, max_instructions: int, progress=None) -> CoreStats:
-        executed = 0
-        cfg = self.config
-        fenced = (cfg.watchdog_max_cycles is not None
-                  or cfg.watchdog_max_instructions is not None)
-        if progress is not None:
-            countdown = progress.interval
-            while executed < max_instructions and self.step():
-                executed += 1
-                self.lifetime_instructions += 1
-                if fenced:
-                    check_watchdog(self)
-                countdown -= 1
-                if countdown <= 0:
-                    countdown = progress.interval
-                    progress.sample(self)
-            return self.stats
-        while executed < max_instructions and self.step():
-            executed += 1
-            self.lifetime_instructions += 1
-            if fenced:
-                check_watchdog(self)
-        return self.stats
+        """Run until HALT or *max_instructions* committed in this window
+        (see :func:`repro.cores.base.run_window`)."""
+        return run_window(self, max_instructions, progress)

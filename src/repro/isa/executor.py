@@ -2,12 +2,19 @@
 
 :func:`execute` is a pure(ish) evaluator: it reads sources through a caller
 supplied function and touches memory only through the provided
-:class:`~repro.memory.main_memory.MainMemory`.  The same evaluator drives
+:class:`~repro.memory.main_memory.MainMemory`.  It is the reference
+semantics of the ISA:
 
-* committed execution in the timing cores, and
-* SVR's transient per-lane execution (Section IV-A4 of the paper), where the
-  source reader substitutes speculative-register-file lane values and stores
-  are suppressed (transient instructions must not affect architectural state).
+* :class:`~repro.cores.functional.FunctionalCore` runs it and nothing else;
+* Vector Runahead's transient pass (:mod:`repro.svr.vr`) runs it with the
+  source reader on a private register copy and stores suppressed
+  (transient instructions must not affect architectural state);
+* the timing cores inline the same semantics into their per-instruction
+  step, and ``tests/test_core_differential.py`` requires them to end every
+  random program in the state :class:`FunctionalCore` reaches.
+
+SVR's per-lane transient execution evaluates ALU ops through
+:func:`alu_fn`, the table :func:`execute` itself uses.
 """
 
 from __future__ import annotations

@@ -47,25 +47,30 @@ def to_signed64(value: int) -> int:
 
 
 class RegisterFile:
-    """The architectural integer register file."""
+    """The architectural integer register file.
 
-    __slots__ = ("_regs",)
+    ``values`` is the live list of the 32 register values.  The timing
+    cores index it directly on their per-instruction path, so it is never
+    rebound: :meth:`load` rewrites it in place.
+    """
+
+    __slots__ = ("values",)
 
     def __init__(self) -> None:
-        self._regs = [0] * NUM_REGS
+        self.values = [0] * NUM_REGS
 
     def read(self, index: int) -> int:
-        return self._regs[index]
+        return self.values[index]
 
     def write(self, index: int, value: int) -> None:
         if index != 0:
-            self._regs[index] = value & _MASK64
+            self.values[index] = value & _MASK64
 
     def snapshot(self) -> list[int]:
-        return list(self._regs)
+        return list(self.values)
 
     def load(self, values: list[int]) -> None:
         if len(values) != NUM_REGS:
             raise ValueError("snapshot must have exactly 32 registers")
-        self._regs = [v & _MASK64 for v in values]
-        self._regs[0] = 0
+        self.values[:] = [v & _MASK64 for v in values]
+        self.values[0] = 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import settings
 
 from repro.cores.base import CoreConfig
 from repro.cores.inorder import InOrderCore
@@ -12,6 +13,11 @@ from repro.memory.hierarchy import MemoryConfig, MemoryHierarchy
 from repro.memory.main_memory import MainMemory
 from repro.svr.config import SVRConfig
 from repro.svr.unit import ScalarVectorUnit
+
+
+# A deep fuzz budget for CI (``--hypothesis-profile=deep``); tier-1 keeps
+# hypothesis' default budget.
+settings.register_profile("deep", max_examples=2000, deadline=None)
 
 
 def make_memory(capacity: int = 1 << 22) -> MainMemory:

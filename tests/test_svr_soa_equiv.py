@@ -1,12 +1,13 @@
-"""Lane-engine equivalence fingerprints, and the lane-state bug pins.
+"""Pinned cell fingerprints, and the lane-state bug pins.
 
-The per-lane loops in ``repro.svr.unit`` are the SVR unit's only lane
-engine.  While a numpy structure-of-arrays engine existed beside them,
-every cell below exported byte-identical ``SimResult.to_dict()`` under
-both engines.  The digests pinned here are those agreed exports, so the
-remaining engine must keep reproducing them.  A deliberate timing-model
-change that moves a cell re-derives its digest with ``_digest`` and says
-why in CHANGES.md.
+Each digest pins one tiny-scale cell's ``SimResult.to_dict()`` export
+byte for byte.  The SVR cells hold the exports that a numpy
+structure-of-arrays lane engine and the per-lane loops in
+``repro.svr.unit`` (now the only lane engine) agreed on.  The non-SVR
+cells hold the exports of the in-order and out-of-order steps taken while
+they still called ``repro.isa.executor.execute``, so the inlined step must
+keep reproducing them.  A deliberate timing-model change that moves a
+cell re-derives its digest with ``_digest`` and says why in CHANGES.md.
 
 Also here: regression pins for three lane-state bugs: the unmasked
 invalid store-source lane, the SRF-exhaustion taint that kept a stale
@@ -27,11 +28,13 @@ from repro.svr.taint_tracker import TaintTracker
 
 from conftest import build_gather_workload, make_inorder
 
-# sha256 of the sorted-key JSON export of each tiny-scale cell.  The cells
-# cover clean striding gathers (Camel), divergent-branch lane masking
+# sha256 of the sorted-key JSON export of each tiny-scale cell.  The SVR
+# cells cover clean striding gathers (Camel), divergent-branch lane masking
 # (HJ2, HJ8), transient stores and may-alias loads (Randacc, Kangr,
 # BFS_KR), loops of mixed vectorization legality (NAS-CG, CC_KR), and a
-# pointer chase that never enters runahead (mcf).
+# pointer chase that never enters runahead (mcf).  The non-SVR cells pin
+# the timing of the plain in-order step (inorder, imp) and of the
+# out-of-order step (ooo, and vr for its runahead episodes).
 CELL_DIGESTS = {
     ("Camel", "svr16"):
         "28b65928c24c72d31830f58c151bc122f65324c4416d446e84eb5b88abfb2344",
@@ -53,6 +56,22 @@ CELL_DIGESTS = {
         "324f4d5b2878d69227650e99351b4d6bc8ae7e108ffb68d44dbd67b50693757a",
     ("mcf", "svr16"):
         "dc38affb7c706881a43c42d1ef392e8a51dbe7fce73aff2bcf1e995c564e31a4",
+    ("Camel", "inorder"):
+        "f0eae287e5df7f97c26f7116fe9712e4f91212b245d9a84877fe0679014f7461",
+    ("NAS-IS", "inorder"):
+        "19f8aec304f315a182b1b86a5d0bdc82d9465c678212fa32559da03343cd5909",
+    ("Camel", "imp"):
+        "9ba24598243623c7fa059dcc22bc0e7ccd2cb498a7dc6350dc0f70c8a502ea70",
+    ("Camel", "ooo"):
+        "575e2bbb6d98aaed4d29b4c560d415b74aec8a8829e9205f5deb80af5d52c9b5",
+    ("HJ2", "ooo"):
+        "f1ec539072fdbef02a659291ba5aee31611d48e815fc0f4f96b7d15e71716258",
+    ("NAS-IS", "ooo"):
+        "5e50ced84a4a4eaae2add3b2f12391a1680cf739c2c5167f6de59f5882e980ea",
+    ("xz", "ooo"):
+        "177925b3f60e6dc4f46e2bb3f98727f210ded0218c9e69dedc53312411d010e1",
+    ("Camel", "vr"):
+        "dea44936f392a5da84324be032d6a8acab47846ea7064b73b4b863e1b4d745a3",
 }
 
 
