@@ -11,8 +11,9 @@ The pieces (design rationale in ``docs/resilience.md``):
 * :mod:`repro.exec.journal`  — the JSONL retry/resume checkpoint;
 * :mod:`repro.exec.faults`   — seeded, deterministic fault injection so
   the resilience paths are themselves testable;
-* :mod:`repro.exec.executor` — :func:`run_cells`, the process-pool
-  executor every sweep and figure routes through;
+* :mod:`repro.exec.executor` — :func:`run_cells`, the executor every
+  sweep and figure routes through, and :class:`WorkerPool`, the warm
+  worker pool that isolates cells for it and for ``repro serve``;
 * :mod:`repro.exec.telemetry` — cross-process telemetry: per-worker
   span / metric / rusage capture shipped over the result pipe, and the
   deterministic parent-side merge (see ``docs/observability.md``).
@@ -25,8 +26,10 @@ here because the executor is where it gets classified.
 from repro.cores.base import SimulationError
 from repro.exec.executor import (
     CellOutcome,
+    Completion,
     ExecConfig,
     ExecReport,
+    WorkerPool,
     run_cells,
 )
 from repro.exec.failures import (
@@ -61,6 +64,7 @@ __all__ = [
     "CellCapture",
     "CellFailedError",
     "CellOutcome",
+    "Completion",
     "ExecConfig",
     "ExecReport",
     "FAILURE_KINDS",
@@ -78,6 +82,7 @@ __all__ = [
     "RunSpec",
     "SimulationError",
     "TelemetryConfig",
+    "WorkerPool",
     "aggregate_metrics",
     "build_exec_trace",
     "config_key",

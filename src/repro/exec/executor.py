@@ -9,8 +9,9 @@ through.  Given a list of :class:`~repro.exec.spec.RunSpec` cells and an
 * serves already-successful cells from the resume journal when
   ``resume=True``;
 * runs the rest either **inline** (in-process, the fast default for
-  sequential use) or **isolated** (one worker process per cell, up to
-  ``jobs`` concurrently, killed at ``timeout_s`` wall-clock seconds);
+  sequential use) or **isolated** (on a :class:`WorkerPool` of up to
+  ``jobs`` warm worker processes, each attempt killed at ``timeout_s``
+  wall-clock seconds);
 * classifies every failure into a structured
   :class:`~repro.exec.failures.RunFailure` (``crash`` / ``hang`` /
   ``invalid-config``) instead of propagating;
@@ -19,6 +20,17 @@ through.  Given a list of :class:`~repro.exec.spec.RunSpec` cells and an
   previous one died;
 * emits ``exec.*`` probe events on the probe bus for the observability
   layer (see ``docs/observability.md``).
+
+:class:`WorkerPool` is the one process-isolation engine; ``repro serve``
+drives it too.  A worker process starts only when there is a cell to
+hand it, then runs the cells sent over its pipe one at a time through
+:class:`~repro.exec.telemetry.CellCapture`.  Between cells it keeps its
+imported modules and its heap (so its peak RSS is a high-water mark over
+the cells it ran), but no cell state: every cell builds its workload and
+simulator afresh.  A worker is retired after any attempt that does not
+end ``ok`` — a failure it reports, its death, or a wall-clock kill — so
+a failed cell never shares a process with a later one; the next cell
+starts a fresh worker.
 
 With ``salvage=True`` (the default) a failed cell is reported in the
 :class:`ExecReport` and the remaining cells still complete — the
@@ -33,9 +45,9 @@ from __future__ import annotations
 import multiprocessing as mp
 import time
 import traceback as traceback_mod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro.cores.base import SimulationError
 from repro.exec.failures import (
@@ -49,7 +61,6 @@ from repro.exec.failures import (
 from repro.exec.faults import (
     FaultPlan,
     InjectedCrash,
-    InjectedHang,
     _unit_interval,
     apply_fault,
 )
@@ -233,63 +244,414 @@ class ExecReport:
 
 
 # ---------------------------------------------------------------------------
+# One attempt of one cell: fault injection and failure classification,
+# shared by the inline runner and the worker body.
+# ---------------------------------------------------------------------------
+
+def _inject(faults: FaultPlan | None, spec: RunSpec, attempt: int, *,
+            inline: bool) -> None:
+    """Apply the fault *faults* decides for this attempt, if any."""
+    if faults is not None and faults.active:
+        kind = faults.decide(spec.key, spec.workload, spec.technique_name,
+                             attempt)
+        if kind is not None:
+            apply_fault(kind, inline=inline, label=spec.label())
+
+
+def _classify(spec: RunSpec, exc: BaseException) -> RunFailure:
+    """The failure an attempt of *spec* that raised *exc* ends in; call
+    it inside the ``except`` block, where the traceback is current."""
+    common = {"key": spec.key, "workload": spec.workload,
+              "technique": spec.technique_name}
+    if isinstance(exc, InjectedCrash):
+        return RunFailure(kind=CRASH, message=str(exc), **common)
+    if isinstance(exc, SimulationError):   # includes InjectedHang
+        return RunFailure(kind=HANG, message=str(exc), cycle=exc.cycle,
+                          pc=exc.pc, **common)
+    if isinstance(exc, (KeyError, ValueError, TypeError)):
+        return RunFailure(kind=INVALID_CONFIG,
+                          message=f"{type(exc).__name__}: {exc}", **common)
+    return RunFailure(kind=CRASH, message=f"{type(exc).__name__}: {exc}",
+                      traceback=traceback_mod.format_exc(limit=20), **common)
+
+
+# ---------------------------------------------------------------------------
 # Worker side (top-level so it is picklable under spawn too).
 # ---------------------------------------------------------------------------
 
-def _worker_main(conn, spec: RunSpec, attempt: int,
-                 faults: FaultPlan | None,
+def _worker_main(conn, faults: FaultPlan | None,
                  telemetry: TelemetryConfig | None = None,
                  progress: ProgressConfig | None = None) -> None:
-    """Run one cell in an isolated process; report over *conn*.
+    """Body of a :class:`WorkerPool` worker: run the cells sent over
+    *conn* until told to stop.
 
-    Protocol: zero or more ``("progress", frame_dict)`` messages while
-    the simulation runs, then exactly one terminal message —
-    ``("ok", result_dict, telemetry_dict_or_None)`` or
-    ``("fail", kind, message, extra_dict, telemetry_dict_or_None)``.
-    Both pipe endpoints always run the same code version, so extending
-    the tuple is safe; the harvest side also accepts the pre-telemetry
-    3/4-tuples defensively.
+    Protocol: the parent sends ``("run", spec, attempt)`` or
+    ``("stop",)``.  For each cell the worker sends zero or more
+    ``("progress", frame_dict)`` messages while the simulation runs, then
+    exactly one terminal message — ``("ok", result_dict, telemetry)`` or
+    ``("fail", RunFailure, telemetry)``, *telemetry* being the
+    :meth:`CellCapture.snapshot` payload or None.  An injected crash is
+    reported like any other exception.  After a ``fail`` the worker
+    exits: its pool retires it.
     """
-    capture = CellCapture(telemetry, spec, attempt)
-    reporter = None
-    if progress is not None:
-        def _ship(frame) -> None:
-            # A dead parent must not turn a good cell into a crash: the
-            # terminal send will surface the broken pipe if it matters.
-            try:
-                conn.send(("progress", frame.to_dict()))
-            except (BrokenPipeError, OSError):
-                pass
-        reporter = progress.reporter(_ship, workload=spec.workload,
-                                     technique=spec.technique_name)
-    try:
-        if faults is not None and faults.active:
-            kind = faults.decide(spec.key, spec.workload,
-                                 spec.technique_name, attempt)
-            if kind is not None:
-                apply_fault(kind, inline=False, label=spec.label())
-        result = capture.run(reporter)
-        conn.send(("ok", result, capture.snapshot("ok")))
-    except InjectedCrash as exc:
-        conn.send(("fail", CRASH, str(exc), {},
-                   capture.snapshot("failed")))
-    except SimulationError as exc:
-        conn.send(("fail", HANG, str(exc),
-                   {"cycle": exc.cycle, "pc": exc.pc},
-                   capture.snapshot("failed")))
-    except (KeyError, ValueError, TypeError) as exc:
-        conn.send(("fail", INVALID_CONFIG,
-                   f"{type(exc).__name__}: {exc}", {},
-                   capture.snapshot("failed")))
-    except BaseException as exc:   # noqa: BLE001 — report, then die
-        conn.send(("fail", CRASH, f"{type(exc).__name__}: {exc}",
-                   {"traceback": traceback_mod.format_exc(limit=20)},
-                   capture.snapshot("failed")))
-    finally:
+    def ship(frame) -> None:
+        # A dead parent must not turn a good cell into a crash: the
+        # terminal send will surface the broken pipe if it matters.
         try:
-            conn.close()
+            conn.send(("progress", frame.to_dict()))
         except OSError:
             pass
+
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            break
+        if message[0] != "run":
+            break
+        _, spec, attempt = message
+        reporter = (progress.reporter(ship, workload=spec.workload,
+                                      technique=spec.technique_name)
+                    if progress is not None else None)
+        capture = CellCapture(telemetry, spec, attempt)
+        try:
+            _inject(faults, spec, attempt, inline=False)
+            result = capture.run(reporter)
+            reply = ("ok", result, capture.snapshot("ok"))
+        except BaseException as exc:   # noqa: BLE001 — report, then exit
+            reply = ("fail", _classify(spec, exc),
+                     capture.snapshot("failed"))
+        try:
+            conn.send(reply)
+        except OSError:
+            break
+        if reply[0] != "ok":
+            break
+    try:
+        conn.close()
+    except OSError:
+        pass
+
+
+# ---------------------------------------------------------------------------
+# The worker pool: the one process-isolation engine.
+# ---------------------------------------------------------------------------
+
+@dataclass
+class Completion:
+    """One settled attempt, as :meth:`WorkerPool.poll` reports it.
+
+    Exactly one of *result* and *failure* is set; the caller fills in the
+    failure's ``attempts`` and ``elapsed_s``.
+    """
+
+    spec: RunSpec
+    attempt: int
+    started: float                     # monotonic: dispatch
+    ended: float                       # monotonic: verdict
+    result: dict | None = None
+    failure: RunFailure | None = None
+    telemetry: dict | None = None      # CellCapture.snapshot payload
+    timed_out: bool = False            # killed by the wall-clock fence
+
+    @property
+    def ok(self) -> bool:
+        return self.failure is None
+
+
+class _Worker:
+    """One pool slot: a worker process, or none before its first cell
+    and after a retirement."""
+
+    __slots__ = ("index", "proc", "conn", "spec", "attempt", "started",
+                 "deadline", "last_frame", "jobs_done")
+
+    def __init__(self, index: int) -> None:
+        self.index = index
+        self.proc: Any = None
+        self.conn: Any = None
+        self.spec: RunSpec | None = None      # the cell it runs; None = idle
+        self.attempt = 0
+        self.started = 0.0
+        self.deadline: float | None = None
+        self.last_frame: dict | None = None   # latest progress snapshot
+        self.jobs_done = 0
+
+    @property
+    def state(self) -> str:
+        if self.spec is not None:
+            return "busy"
+        return "idle" if self.proc is not None else "down"
+
+
+def _reap(proc, grace_s: float) -> int | None:
+    """Collect *proc*, letting it exit on its own for *grace_s* before
+    terminating (then killing) it; returns its exit code."""
+    proc.join(grace_s)
+    if proc.is_alive():
+        proc.terminate()
+        proc.join(2.0)
+    if proc.is_alive():
+        proc.kill()
+        proc.join(2.0)
+    exitcode = proc.exitcode
+    proc.close()
+    return exitcode
+
+
+class WorkerPool:
+    """Up to ``size`` warm worker processes, each running one cell at a
+    time (see the module docstring for what a worker keeps and when it
+    is replaced).
+
+    Single-consumer: call :meth:`dispatch`, :meth:`poll`, :meth:`drain`
+    and :meth:`stop` from one thread.  *on_event* is called as
+    ``on_event(event, **fields)`` with:
+
+    * ``"start"`` — a worker process started (``worker``, ``pid``,
+      ``started``, ``ended``: monotonic times around the launch);
+    * ``"restart"`` — a worker was retired after an attempt that did not
+      end ``ok``, or died while idle (``worker``, ``pid``, ``reason``,
+      ``started``, ``ended``); :attr:`restarts` counts these;
+    * ``"stop"`` — :meth:`stop` shut a worker down (same fields);
+    * ``"progress"`` — a live frame from a busy worker (``worker``,
+      ``key``, ``attempt``, ``frame``).
+    """
+
+    def __init__(self, size: int, *, timeout_s: float | None = None,
+                 faults: FaultPlan | None = None,
+                 telemetry: TelemetryConfig | None = None,
+                 progress: ProgressConfig | None = None,
+                 on_event: Callable[..., None] | None = None) -> None:
+        if size < 1:
+            raise ValueError(f"WorkerPool.size must be >= 1, got {size}")
+        if timeout_s is not None and timeout_s <= 0:
+            raise ValueError(
+                f"WorkerPool.timeout_s must be > 0, got {timeout_s}")
+        self.size = size
+        self.timeout_s = timeout_s
+        self.faults = faults
+        self.telemetry = telemetry
+        self.progress = progress
+        self.on_event = on_event or (lambda _event, **_fields: None)
+        self.restarts = 0
+        self._ctx = mp.get_context()
+        self._workers = [_Worker(i) for i in range(size)]
+
+    def busy_count(self) -> int:
+        return sum(1 for w in self._workers if w.spec is not None)
+
+    def idle_count(self) -> int:
+        """Started workers waiting for a cell."""
+        return sum(1 for w in self._workers if w.state == "idle")
+
+    # -- dispatch -----------------------------------------------------
+
+    def dispatch(self, spec: RunSpec, attempt: int) -> None:
+        """Hand one cell to an idle worker, starting one if none is idle.
+        The caller keeps at most ``size`` cells in flight."""
+        started = time.monotonic()
+        free = [w for w in self._workers if w.spec is None]
+        if not free:
+            raise RuntimeError("WorkerPool.dispatch: every worker is busy")
+        worker = next((w for w in free if w.proc is not None), free[0])
+        if worker.proc is not None:
+            try:
+                worker.conn.send(("run", spec, attempt))
+            except OSError:
+                self._retire(worker, "dead at dispatch")
+        if worker.proc is None:
+            self._start(worker, spec, attempt)
+            worker.conn.send(("run", spec, attempt))
+        worker.spec = spec
+        worker.attempt = attempt
+        worker.started = started
+        worker.deadline = (time.monotonic() + self.timeout_s
+                           if self.timeout_s is not None else None)
+        worker.last_frame = None
+
+    def _start(self, worker: _Worker, spec: RunSpec, attempt: int) -> None:
+        parent_conn, child_conn = self._ctx.Pipe()
+        # _worker_main is looked up at spawn time, so a wrapper installed
+        # on this module (perfbench/ledger.py's) is what the worker runs;
+        # that ledger also reads the cell that caused the start from the
+        # process name.
+        proc = self._ctx.Process(
+            target=_worker_main,
+            args=(child_conn, self.faults, self.telemetry, self.progress),
+            daemon=True, name=f"repro-exec-{spec.key}-a{attempt}")
+        started = time.monotonic()
+        proc.start()
+        child_conn.close()
+        worker.proc, worker.conn = proc, parent_conn
+        self.on_event("start", worker=worker.index, pid=proc.pid,
+                      started=started, ended=time.monotonic())
+
+    def _retire(self, worker: _Worker, reason: str, *,
+                event: str = "restart", grace_s: float = 2.0) -> int | None:
+        """Collect *worker*'s process and empty its slot; returns the
+        process's exit code."""
+        started = time.monotonic()
+        pid = worker.proc.pid
+        exitcode = _reap(worker.proc, grace_s)
+        try:
+            worker.conn.close()
+        except OSError:
+            pass
+        worker.proc = worker.conn = None
+        if event == "restart":
+            self.restarts += 1
+        self.on_event(event, worker=worker.index, pid=pid, reason=reason,
+                      started=started, ended=time.monotonic())
+        return exitcode
+
+    # -- harvest ------------------------------------------------------
+
+    def poll(self, timeout: float | None = None) -> list[Completion]:
+        """Wait up to *timeout* seconds (None: until a worker reports or
+        a deadline passes) and return the attempts that settled, killing
+        busy workers past their wall-clock fence."""
+        now = time.monotonic()
+        horizons = [w.deadline for w in self._workers
+                    if w.deadline is not None]
+        if timeout is not None:
+            horizons.append(now + timeout)
+        live = [w for w in self._workers if w.proc is not None]
+        ready = mp_connection.wait(
+            [w.conn for w in live],
+            timeout=max(0.0, min(horizons) - now) if horizons else None)
+        done = []
+        for worker in live:
+            if worker.conn in ready:
+                completion = self._harvest(worker)
+                if completion is not None:
+                    done.append(completion)
+        now = time.monotonic()
+        for worker in self._workers:
+            if worker.deadline is not None and now >= worker.deadline:
+                done.append(self._expire(worker))
+        return done
+
+    def _harvest(self, worker: _Worker) -> Completion | None:
+        try:
+            while worker.conn.poll():
+                message = worker.conn.recv()
+                if message[0] == "progress":
+                    self._note_progress(worker, message[1])
+                    continue
+                completion, frame = self._finish(worker)
+                if message[0] == "ok":
+                    _, completion.result, completion.telemetry = message
+                    return completion
+                _, completion.failure, completion.telemetry = message
+                completion.failure.progress = frame
+                self._retire(worker, f"{completion.failure.kind} in "
+                                     f"{completion.spec.label()}")
+                return completion
+        except (EOFError, OSError):
+            return self._died(worker)
+        return None
+
+    def _note_progress(self, worker: _Worker, frame: dict) -> None:
+        """Record a live frame.  An *advancing* simulated clock pushes the
+        wall-clock deadline out: the stall fence leaves a slow cell that
+        still makes simulated progress alone, and kills one whose cycle
+        count froze at the original cadence."""
+        if (worker.deadline is not None and self.timeout_s is not None
+                and advancing(worker.last_frame, frame)):
+            worker.deadline = time.monotonic() + self.timeout_s
+        worker.last_frame = frame
+        self.on_event("progress", worker=worker.index, key=worker.spec.key,
+                      attempt=worker.attempt, frame=frame)
+
+    def _finish(self, worker: _Worker) -> tuple[Completion, dict | None]:
+        """Free *worker*'s cell slot: the bare Completion of its attempt
+        and the last progress frame it sent."""
+        completion = Completion(spec=worker.spec, attempt=worker.attempt,
+                                started=worker.started,
+                                ended=time.monotonic())
+        frame = worker.last_frame
+        worker.spec = None
+        worker.deadline = None
+        worker.last_frame = None
+        worker.jobs_done += 1
+        return completion, frame
+
+    def _failure(self, completion: Completion, kind: str, message: str,
+                 frame: dict | None) -> None:
+        spec = completion.spec
+        completion.failure = RunFailure(
+            key=spec.key, workload=spec.workload,
+            technique=spec.technique_name, kind=kind, message=message,
+            cycle=frame.get("cycle") if frame else None,
+            pc=frame.get("pc") if frame else None, progress=frame)
+
+    def _died(self, worker: _Worker) -> Completion | None:
+        """Pipe EOF: the worker process is gone."""
+        if worker.spec is None:
+            self._retire(worker, "died while idle")
+            return None
+        completion, frame = self._finish(worker)
+        exitcode = self._retire(worker, "died")
+        self._failure(completion, CRASH,
+                      "worker died without reporting a result "
+                      f"(exit code {exitcode})", frame)
+        return completion
+
+    def _expire(self, worker: _Worker) -> Completion:
+        """Kill a busy worker past its wall-clock fence: a ``hang``."""
+        completion, frame = self._finish(worker)
+        self._retire(worker, "wall-clock fence", grace_s=0.0)
+        attempt = completion.attempt
+        if frame is None:
+            text = (f"wall-clock timeout: no result within "
+                    f"{self.timeout_s:g}s (attempt {attempt})")
+        else:
+            text = (f"stalled: no simulated-cycle advance within "
+                    f"{self.timeout_s:g}s — last frame at cycle "
+                    f"{frame.get('cycle', 0):.0f}, pc {frame.get('pc')}, "
+                    f"{frame.get('phase')} phase (attempt {attempt})")
+        self._failure(completion, HANG, text, frame)
+        completion.timed_out = True
+        return completion
+
+    # -- shutdown -----------------------------------------------------
+
+    def drain(self, timeout_s: float = 30.0) -> list[Completion]:
+        """Finish in-flight work (bounded), then stop every worker."""
+        deadline = time.monotonic() + timeout_s
+        done: list[Completion] = []
+        while self.busy_count() and time.monotonic() < deadline:
+            done.extend(self.poll(0.2))
+        done.extend(self._expire(w) for w in self._workers
+                    if w.spec is not None)      # still stuck at the deadline
+        self.stop()
+        return done
+
+    def stop(self) -> None:
+        """Shut every worker down: idle ones exit when asked, busy ones
+        are killed."""
+        for worker in self._workers:
+            if worker.proc is not None and worker.spec is None:
+                try:
+                    worker.conn.send(("stop",))
+                except OSError:
+                    pass
+        for worker in self._workers:
+            if worker.proc is not None:
+                self._retire(worker, "stop", event="stop",
+                             grace_s=2.0 if worker.spec is None else 0.0)
+                worker.spec = None
+                worker.deadline = None
+
+    def snapshot(self) -> list[dict[str, Any]]:
+        return [{"worker": w.index,
+                 "pid": w.proc.pid if w.proc is not None else None,
+                 "state": w.state,
+                 "jobs_done": w.jobs_done,
+                 "running": w.spec.label() if w.spec is not None else None,
+                 "progress": w.last_frame}
+                for w in self._workers]
 
 
 # ---------------------------------------------------------------------------
@@ -329,25 +691,38 @@ class _Sink:
             self._root = None
         return self.tracer.export()
 
+    def _span(self, name: str, started: float, ended: float,
+              **attrs) -> None:
+        if self.tracer is not None:
+            parent = self._root.span_id if self._root is not None else None
+            self.tracer.add(name, started, ended, parent=parent, **attrs)
+
     def attempt_span(self, spec: RunSpec, attempt: int, started: float,
-                     ended: float, status: str, *,
-                     spawn_s: float = 0.0, reap_s: float = 0.0) -> None:
-        """Record one attempt's lifecycle on the parent track:
-        ``attempt`` wrapping ``spawn`` (process launch) and ``reap``
-        (worker collection), all on the shared monotonic clock."""
-        if self.tracer is None:
-            return
-        parent = self._root.span_id if self._root is not None else None
-        span = self.tracer.add(
-            "attempt", started, ended, parent=parent, status=status,
-            key=spec.key, workload=spec.workload,
-            technique=spec.technique_name, attempt=attempt)
-        if spawn_s > 0:
-            self.tracer.add("spawn", started, started + spawn_s,
-                            parent=span.span_id)
-        if reap_s > 0:
-            self.tracer.add("reap", ended - reap_s, ended,
-                            parent=span.span_id)
+                     ended: float, status: str) -> None:
+        """Record one attempt on the parent track, on the shared
+        monotonic clock."""
+        self._span("attempt", started, ended, status=status, key=spec.key,
+                   workload=spec.workload, technique=spec.technique_name,
+                   attempt=attempt)
+
+    def worker_span(self, event: str, fields: dict) -> None:
+        """Record a pool worker's ``spawn`` (its ``start`` event) or
+        ``reap`` (``restart``/``stop``) on the parent track."""
+        if event == "start":
+            self._span("spawn", fields["started"], fields["ended"],
+                       pid=fields["pid"])
+        else:
+            self._span("reap", fields["started"], fields["ended"],
+                       pid=fields["pid"], reason=fields["reason"])
+
+    def progress(self, spec: RunSpec, attempt: int, frame: dict) -> None:
+        if self.p_progress.enabled:
+            # The frame names its own workload/technique; spec values
+            # only fill in if a (stub) frame omitted them.
+            self.p_progress.emit(**{"key": spec.key,
+                                    "workload": spec.workload,
+                                    "technique": spec.technique_name,
+                                    "attempt": attempt, **frame})
 
     def ok(self, spec: RunSpec, result: dict, attempts: int,
            elapsed_s: float, telemetry: dict | None = None) -> CellOutcome:
@@ -383,15 +758,24 @@ class _Sink:
                          elapsed_s=outcome.elapsed_s)
         return outcome
 
-    def retry(self, spec: RunSpec, failed_attempt: int, kind: str,
-              delay: float) -> None:
+    def retry_delay(self, spec: RunSpec,
+                    failure: RunFailure) -> float | None:
+        """The backoff before the next attempt of a cell whose attempt
+        ended in *failure* (announced on the bus and in the journal), or
+        None when the failure is terminal."""
+        config, attempt = self.config, failure.attempts
+        if (failure.kind not in config.retry_kinds
+                or attempt > config.retries):
+            return None
+        delay = config.backoff_delay(attempt, spec.key)
         self.p_retry.emit(key=spec.key, workload=spec.workload,
-                          technique=spec.technique_name,
-                          attempt=failed_attempt, kind=kind, delay_s=delay)
+                          technique=spec.technique_name, attempt=attempt,
+                          kind=failure.kind, delay_s=delay)
         if self.journal is not None:
             self.journal.append_event(
-                "retry", key=spec.key, attempt=failed_attempt, kind=kind,
+                "retry", key=spec.key, attempt=attempt, kind=failure.kind,
                 delay_s=round(delay, 3))
+        return delay
 
     def timeout(self, spec: RunSpec, attempt: int) -> None:
         self.p_timeout.emit(key=spec.key, workload=spec.workload,
@@ -421,26 +805,9 @@ class _Sink:
                 telemetry=outcome.telemetry)
 
 
-def _classify_inline(spec: RunSpec, exc: BaseException) -> RunFailure:
-    common = {"key": spec.key, "workload": spec.workload,
-              "technique": spec.technique_name}
-    if isinstance(exc, InjectedCrash):
-        return RunFailure(kind=CRASH, message=str(exc), **common)
-    if isinstance(exc, SimulationError):   # includes InjectedHang
-        return RunFailure(kind=HANG, message=str(exc), cycle=exc.cycle,
-                          pc=exc.pc, **common)
-    if isinstance(exc, (KeyError, ValueError, TypeError)):
-        return RunFailure(kind=INVALID_CONFIG,
-                          message=f"{type(exc).__name__}: {exc}", **common)
-    return RunFailure(kind=CRASH, message=f"{type(exc).__name__}: {exc}",
-                      traceback=traceback_mod.format_exc(limit=20), **common)
-
-
 def _run_inline(pending: list[RunSpec], config: ExecConfig,
                 sink: _Sink) -> list[CellOutcome]:
     outcomes = []
-    faults = config.faults if (config.faults is not None
-                               and config.faults.active) else None
     for spec in pending:
         attempt = 1
         elapsed_total = 0.0
@@ -451,14 +818,11 @@ def _run_inline(pending: list[RunSpec], config: ExecConfig,
             result = None
             capture = CellCapture(config.telemetry, spec, attempt)
             try:
-                if faults is not None:
-                    kind = faults.decide(spec.key, spec.workload,
-                                         spec.technique_name, attempt)
-                    if kind is not None:
-                        apply_fault(kind, inline=True, label=spec.label())
+                _inject(config.faults, spec, attempt, inline=True)
                 result = capture.run()
             except Exception as exc:   # noqa: BLE001 — classified below
                 exc_seen = exc
+                failure = _classify(spec, exc)
             elapsed_total += time.perf_counter() - start
             mono_end = time.monotonic()
             if exc_seen is None:
@@ -470,15 +834,11 @@ def _run_inline(pending: list[RunSpec], config: ExecConfig,
                 break
             sink.attempt_span(spec, attempt, mono_start, mono_end,
                               "error")
-            failure = _classify_inline(spec, exc_seen)
             failure.attempts = attempt
             failure.elapsed_s = elapsed_total
-            if (failure.kind in config.retry_kinds
-                    and attempt <= config.retries):
-                delay = config.backoff_delay(attempt, spec.key)
-                sink.retry(spec, attempt, failure.kind, delay)
-                if delay > 0:
-                    time.sleep(delay)
+            delay = sink.retry_delay(spec, failure)
+            if delay is not None:
+                time.sleep(delay)
                 attempt += 1
                 continue
             if not config.salvage:
@@ -499,200 +859,67 @@ class _Cell:
         self.elapsed = 0.0
 
 
-class _Running:
-    __slots__ = ("cell", "proc", "conn", "deadline", "started", "spawn_s",
-                 "last_frame")
-
-    def __init__(self, cell, proc, conn, deadline, started,
-                 spawn_s=0.0) -> None:
-        self.cell = cell
-        self.proc = proc
-        self.conn = conn
-        self.deadline = deadline
-        self.started = started
-        self.spawn_s = spawn_s
-        self.last_frame: dict | None = None   # latest progress snapshot
-
-
-def _reap(proc: mp.Process) -> None:
-    """Terminate (then kill) a worker and collect it."""
-    if proc.is_alive():
-        proc.terminate()
-        proc.join(timeout=2.0)
-    if proc.is_alive():
-        proc.kill()
-        proc.join(timeout=2.0)
-    proc.close()
-
-
 def _run_isolated(pending: list[RunSpec], config: ExecConfig,
                   sink: _Sink) -> list[CellOutcome]:
-    ctx = mp.get_context()
     waiting: list[_Cell] = [_Cell(spec) for spec in pending]
-    running: list[_Running] = []
+    inflight: dict[str, _Cell] = {}
     outcomes: list[CellOutcome] = []
 
-    def launch(cell: _Cell) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=False)
-        proc = ctx.Process(
-            target=_worker_main,
-            args=(child_conn, cell.spec, cell.attempt, config.faults,
-                  config.telemetry, config.progress),
-            daemon=True,
-            name=f"repro-exec-{cell.spec.key}-a{cell.attempt}")
-        spawn_start = time.monotonic()
-        proc.start()
-        child_conn.close()
-        started = time.monotonic()
-        deadline = (started + config.timeout_s
-                    if config.timeout_s is not None else None)
-        running.append(_Running(cell, proc, parent_conn, deadline,
-                                spawn_start, started - spawn_start))
+    def on_event(event: str, **fields) -> None:
+        if event == "progress":
+            cell = inflight[fields["key"]]
+            sink.progress(cell.spec, fields["attempt"], fields["frame"])
+        else:
+            sink.worker_span(event, fields)
 
-    def settle_failure(cell: _Cell, failure: RunFailure,
-                       telemetry: dict | None = None) -> None:
-        """Retry the cell or finalise its failure."""
+    pool = WorkerPool(config.jobs, timeout_s=config.timeout_s,
+                      faults=config.faults, telemetry=config.telemetry,
+                      progress=config.progress, on_event=on_event)
+
+    def settle(c: Completion) -> None:
+        """Record the attempt, then finish its cell or schedule a retry."""
+        cell = inflight.pop(c.spec.key)
+        cell.elapsed += c.ended - c.started
+        status = "ok" if c.ok else "timeout" if c.timed_out else "error"
+        sink.attempt_span(c.spec, c.attempt, c.started, c.ended, status)
+        if c.ok:
+            outcomes.append(sink.ok(c.spec, c.result, c.attempt,
+                                    cell.elapsed, c.telemetry))
+            return
+        if c.timed_out:
+            sink.timeout(c.spec, c.attempt)
+        failure = c.failure
         failure.attempts = cell.attempt
         failure.elapsed_s = cell.elapsed
-        if (failure.kind in config.retry_kinds
-                and cell.attempt <= config.retries):
-            delay = config.backoff_delay(cell.attempt, cell.spec.key)
-            sink.retry(cell.spec, cell.attempt, failure.kind, delay)
+        delay = sink.retry_delay(cell.spec, failure)
+        if delay is not None:
             cell.attempt += 1
             cell.ready_at = time.monotonic() + delay
             waiting.append(cell)
             return
-        outcomes.append(sink.fail(cell.spec, failure, telemetry))
+        outcomes.append(sink.fail(cell.spec, failure, c.telemetry))
         if not config.salvage:
-            for other in running:
-                _reap(other.proc)
             raise CellFailedError(failure)
 
-    def note_progress(r: _Running, frame: dict) -> None:
-        """Record a live frame; an *advancing* simulated clock extends
-        the wall-clock deadline into a stall fence — a slow cell that is
-        still making simulated progress is left alone, while one whose
-        cycle count froze is killed at the original cadence."""
-        if (r.deadline is not None and config.timeout_s is not None
-                and advancing(r.last_frame, frame)):
-            r.deadline = time.monotonic() + config.timeout_s
-        r.last_frame = frame
-        spec = r.cell.spec
-        if sink.p_progress.enabled:
-            # The frame names its own workload/technique; spec values
-            # only fill in if a (stub) frame omitted them.
-            sink.p_progress.emit(**{"key": spec.key,
-                                    "workload": spec.workload,
-                                    "technique": spec.technique_name,
-                                    "attempt": r.cell.attempt, **frame})
-
-    def harvest(r: _Running) -> None:
-        spec = r.cell.spec
-        message = None
-        alive = True
-        try:
-            while r.conn.poll():
-                received = r.conn.recv()
-                if received[0] == "progress":
-                    note_progress(r, received[1])
-                    continue
-                message = received
-                break
-        except (EOFError, OSError):
-            alive = False
-        if message is None and alive:
-            return                    # only progress so far; still running
-        running.remove(r)
-        r.cell.elapsed += time.monotonic() - r.started
-        exitcode = r.proc.exitcode
-        reap_start = time.monotonic()
-        _reap(r.proc)
-        r.conn.close()
-        ended = time.monotonic()
-        status = ("ok" if message is not None and message[0] == "ok"
-                  else "error")
-        sink.attempt_span(spec, r.cell.attempt, r.started, ended, status,
-                          spawn_s=r.spawn_s, reap_s=ended - reap_start)
-        if message is None:
-            settle_failure(r.cell, RunFailure(
-                key=spec.key, workload=spec.workload,
-                technique=spec.technique_name, kind=CRASH,
-                message=("worker died without reporting a result "
-                         f"(exit code {exitcode})"),
-                progress=r.last_frame))
-            return
-        telem = message[-1] if len(message) in (3, 5) else None
-        if message[0] == "ok":
-            outcomes.append(sink.ok(spec, message[1], r.cell.attempt,
-                                    r.cell.elapsed, telem))
-            return
-        kind, text, extra = message[1], message[2], message[3]
-        settle_failure(r.cell, RunFailure(
-            key=spec.key, workload=spec.workload,
-            technique=spec.technique_name, kind=kind, message=text,
-            cycle=extra.get("cycle"), pc=extra.get("pc"),
-            traceback=extra.get("traceback"),
-            progress=r.last_frame), telem)
-
-    def expire(r: _Running) -> None:
-        running.remove(r)
-        r.cell.elapsed += time.monotonic() - r.started
-        spec = r.cell.spec
-        reap_start = time.monotonic()
-        _reap(r.proc)
-        r.conn.close()
-        ended = time.monotonic()
-        sink.attempt_span(spec, r.cell.attempt, r.started, ended,
-                          "timeout", spawn_s=r.spawn_s,
-                          reap_s=ended - reap_start)
-        sink.timeout(spec, r.cell.attempt)
-        frame = r.last_frame
-        if frame is None:
-            text = (f"wall-clock timeout: no result within "
-                    f"{config.timeout_s:g}s (attempt {r.cell.attempt})")
-        else:
-            text = (f"stalled: no simulated-cycle advance within "
-                    f"{config.timeout_s:g}s — last frame at cycle "
-                    f"{frame.get('cycle', 0):.0f}, pc {frame.get('pc')}, "
-                    f"{frame.get('phase')} phase "
-                    f"(attempt {r.cell.attempt})")
-        settle_failure(r.cell, RunFailure(
-            key=spec.key, workload=spec.workload,
-            technique=spec.technique_name, kind=HANG, message=text,
-            cycle=frame.get("cycle") if frame else None,
-            pc=frame.get("pc") if frame else None,
-            progress=frame))
-
     try:
-        while waiting or running:
+        while waiting or inflight:
             now = time.monotonic()
             for cell in sorted(waiting, key=lambda c: c.ready_at):
-                if len(running) >= config.jobs:
+                if len(inflight) >= config.jobs or cell.ready_at > now:
                     break
-                if cell.ready_at <= now:
-                    waiting.remove(cell)
-                    launch(cell)
-            horizons = [r.deadline for r in running
-                        if r.deadline is not None]
-            if waiting and len(running) < config.jobs:
-                horizons.append(min(c.ready_at for c in waiting))
-            if running:
-                timeout = (max(0.0, min(horizons) - now)
-                           if horizons else None)
-                ready_conns = mp_connection.wait(
-                    [r.conn for r in running], timeout=timeout)
-                now = time.monotonic()
-                for r in [r for r in running if r.conn in ready_conns]:
-                    harvest(r)
-                for r in [r for r in running
-                          if r.deadline is not None and now >= r.deadline]:
-                    expire(r)
-            elif waiting:
-                time.sleep(max(0.0,
-                               min(c.ready_at for c in waiting) - now))
+                waiting.remove(cell)
+                inflight[cell.spec.key] = cell
+                pool.dispatch(cell.spec, cell.attempt)
+            timeout = None
+            if waiting and len(inflight) < config.jobs:
+                timeout = max(0.0, min(c.ready_at for c in waiting) - now)
+            if inflight:
+                for completion in pool.poll(timeout):
+                    settle(completion)
+            else:
+                time.sleep(timeout)
     finally:
-        for r in running:
-            _reap(r.proc)
+        pool.stop()
     return outcomes
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import os
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -308,18 +309,20 @@ def build_exec_trace(outcomes: "list[CellOutcome]",
                      ) -> dict[str, Any]:
     """One Perfetto trace for a whole executor invocation: the parent's
     lifecycle spans on its own process track, plus one process track per
-    worker pid carrying that worker's spans and its rebased sim-event
-    tail."""
+    worker pid carrying the spans and rebased sim-event tails of every
+    cell that worker ran, labelled with the pid and the cell count."""
     processes: list[dict[str, Any]] = []
     if parent_spans:
         processes.append({
             "pid": os.getpid(), "label": "repro-exec parent",
             "events": spans_to_trace_events(parent_spans, pid=os.getpid(),
                                             tid=SPAN_TID)})
-    for telemetry in telemetry_records(outcomes):
+    records = telemetry_records(outcomes)
+    cells = Counter(t["pid"] for t in records)
+    for telemetry in records:
         pid = telemetry["pid"]
-        label = (f"worker {pid} "
-                 f"({telemetry['workload']}/{telemetry['technique']})")
+        label = (f"worker {pid} ({cells[pid]} "
+                 f"cell{'' if cells[pid] == 1 else 's'})")
         events = spans_to_trace_events(telemetry.get("spans") or [],
                                        pid=pid, tid=SPAN_TID)
         events += _rebase_sim_events(telemetry.get("trace_events") or [],

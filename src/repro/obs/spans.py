@@ -3,8 +3,8 @@
 A :class:`Span` is one named, timed interval with a parent — the unit the
 cross-process telemetry pipeline (``docs/observability.md``) is built
 from.  The executor opens spans around its own lifecycle
-(``run_cells`` → ``cell`` → ``attempt`` → ``spawn`` / ``reap``), each
-worker opens spans around the simulator phases (``build`` / ``warmup`` /
+(``run_cells`` → ``attempt`` and each worker's ``spawn`` / ``reap``),
+each cell opens spans around the simulator phases (``build`` / ``warmup`` /
 ``measure`` / ``serialize``), and the sim-side probe bus is bridged into
 cycle-clock phase spans (one per PRM episode) — so a whole ``--jobs N``
 sweep reconstructs as one tree that survives the process boundary.

@@ -3,10 +3,10 @@
 The batch executor (:mod:`repro.exec`) runs a fixed cell matrix and
 exits; this package keeps a simulator fleet alive behind an HTTP
 endpoint, able to absorb crashes, hangs, floods and disk corruption
-without falling over (design rationale in ``docs/serving.md``):
+without falling over (design rationale in ``docs/serving.md``).  Its
+workers are the executor's own warm pool
+(:class:`repro.exec.WorkerPool`); the pieces around them:
 
-* :mod:`repro.serve.pool`      — warm worker pool with heartbeats and
-  automatic restart (:class:`WorkerPool`);
 * :mod:`repro.serve.queue`     — bounded, coalescing job queue
   (:class:`JobQueue`, :class:`QueueFull`);
 * :mod:`repro.serve.ratelimit` — per-client token buckets
@@ -28,7 +28,6 @@ without falling over (design rationale in ``docs/serving.md``):
 from repro.serve.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
 from repro.serve.client import ServeClient, ServeClientError
 from repro.serve.events import EventBroker, EventSubscription, MetricsRing
-from repro.serve.pool import Completion, WorkerPool
 from repro.serve.queue import (
     FAILED,
     OK,
@@ -52,7 +51,6 @@ from repro.serve.store import ResultStore, record_digest
 __all__ = [
     "CLOSED",
     "CircuitBreaker",
-    "Completion",
     "EventBroker",
     "EventSubscription",
     "FAILED",
@@ -75,7 +73,6 @@ __all__ = [
     "ServeConfig",
     "TERMINAL_STATES",
     "TokenBucket",
-    "WorkerPool",
     "install_serve_metrics",
     "record_digest",
 ]

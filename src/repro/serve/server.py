@@ -9,7 +9,7 @@ pieces together around one **scheduler thread**:
   :class:`~repro.serve.breaker.CircuitBreaker`,
   :class:`~repro.serve.store.ResultStore`;
 * exactly one scheduler thread owns the
-  :class:`~repro.serve.pool.WorkerPool` pipes and the
+  :class:`~repro.exec.executor.WorkerPool` pipes and the
   :class:`~repro.obs.spans.SpanTracer`, dispatching queued cells,
   harvesting verdicts, scheduling jittered retries
   (:meth:`repro.exec.executor.ExecConfig.backoff_delay`), promoting
@@ -52,7 +52,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlparse
 
-from repro.exec.executor import ExecConfig
+from repro.exec.executor import Completion, ExecConfig, WorkerPool
 from repro.exec.failures import HANG, RunFailure
 from repro.exec.faults import FaultPlan
 from repro.exec.journal import RunJournal
@@ -67,7 +67,6 @@ from repro.obs.progress import ProgressConfig
 from repro.obs.spans import SpanTracer
 from repro.serve.breaker import OPEN, CircuitBreaker
 from repro.serve.events import EventBroker, MetricsRing
-from repro.serve.pool import Completion, WorkerPool
 from repro.serve.queue import (
     FAILED,
     OK,
@@ -115,7 +114,6 @@ class ServeConfig:
     breaker_threshold: int = 3        # consecutive crash/hang -> open
     breaker_cooldown_s: float = 300.0
     drain_timeout_s: float = 30.0
-    heartbeat_s: float = 5.0          # idle-worker ping cadence
     faults: FaultPlan | None = None   # injected faults (tests, demos)
     progress_interval: int = 1_000    # instructions between frames; 0 = off
     sample_interval_s: float = 2.0    # metrics-history push cadence
@@ -254,7 +252,6 @@ class ReproServer:
                                       cooldown_s=config.breaker_cooldown_s)
         self.pool = WorkerPool(config.workers, timeout_s=config.timeout_s,
                                faults=config.faults,
-                               heartbeat_s=config.heartbeat_s,
                                on_event=self._on_worker_event,
                                progress=(ProgressConfig(
                                    interval=config.progress_interval)
@@ -323,7 +320,6 @@ class ReproServer:
             rebuilt = self.store.rebuild(self.ledger)
             if rebuilt:
                 self._emit(self._p_store, action="rebuild", entries=rebuilt)
-        self.pool.start()
         scheduler = threading.Thread(target=self._scheduler_loop,
                                      name="repro-serve-scheduler",
                                      daemon=True)
@@ -484,7 +480,7 @@ class ReproServer:
                 if ready_at <= now:
                     self._delayed.remove((ready_at, key))
                     self.queue.requeue(key)
-            while self.pool.idle_count() > 0:
+            while self.pool.busy_count() < self.pool.size:
                 spec = self.queue.next_cell()
                 if spec is None:
                     break
@@ -492,10 +488,7 @@ class ReproServer:
                 self._attempts[spec.key] = attempt
                 self.queue.bump_attempts(spec.key, attempt)
                 self._cell_started.setdefault(spec.key, now)
-                if not self.pool.dispatch(spec, attempt):
-                    self.queue.requeue(spec.key)
-                    self._attempts[spec.key] = attempt - 1
-                    break
+                self.pool.dispatch(spec, attempt)
                 for job in self.queue.jobs_for(spec.key):
                     self.events.publish("job", job_id=job.job_id,
                                         key=spec.key, state=job.state,
@@ -514,24 +507,25 @@ class ReproServer:
 
     def _handle(self, c: Completion) -> None:
         key = c.spec.key
-        if c.status == "ok":
+        if c.ok:
             self._settle_ok(c)
             return
-        retryable = (c.kind in self._delays.retry_kinds
+        kind = c.failure.kind
+        retryable = (kind in self._delays.retry_kinds
                      and c.attempt <= self.config.retries
                      and not self._draining)
         if retryable:
             delay = self._delays.backoff_delay(c.attempt, key)
             self._emit(self._p_retry, key=key, workload=c.spec.workload,
                        technique=c.spec.technique_name, attempt=c.attempt,
-                       kind=c.kind, delay_s=delay)
+                       kind=kind, delay_s=delay)
             if self.ledger is not None:
                 self.ledger.append_event(
-                    "retry", key=key, attempt=c.attempt, kind=c.kind,
-                    message=c.message, delay_s=round(delay, 4))
+                    "retry", key=key, attempt=c.attempt, kind=kind,
+                    message=c.failure.message, delay_s=round(delay, 4))
             self._delayed.append((time.monotonic() + delay, key))
             self.events.publish("retry", key=key, attempt=c.attempt,
-                                kind=c.kind, delay_s=round(delay, 4))
+                                kind=kind, delay_s=round(delay, 4))
             return
         self._settle_failed(c)
 
@@ -564,7 +558,7 @@ class ReproServer:
         self.tracer.add("serve.cell", started if started is not None
                         else now, now, workload=c.spec.workload,
                         technique=c.spec.technique_name,
-                        status=c.status, attempts=attempts)
+                        status="ok" if c.ok else "fail", attempts=attempts)
         return attempts, elapsed
 
     def _settle_ok(self, c: Completion) -> None:
@@ -590,12 +584,8 @@ class ReproServer:
     def _settle_failed(self, c: Completion) -> None:
         key = c.spec.key
         attempts, elapsed = self._cell_common(c)
-        failure = RunFailure(
-            key=key, workload=c.spec.workload,
-            technique=c.spec.technique_name, kind=c.kind or "crash",
-            message=c.message, attempts=attempts, elapsed_s=elapsed,
-            cycle=c.extra.get("cycle"), pc=c.extra.get("pc"),
-            traceback=c.extra.get("traceback"))
+        failure = c.failure
+        failure.attempts, failure.elapsed_s = attempts, elapsed
         state = self.breaker.record_failure(key, failure.kind,
                                             failure.message)
         if state == OPEN:

@@ -21,6 +21,8 @@ Each name gets its own size/mix parameters so the bars are not copies.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 
 from repro.isa.program import ProgramBuilder
@@ -205,7 +207,8 @@ def build_spec(name: str, memory: MainMemory | None = None,
         raise ValueError(f"unknown SPEC surrogate: {name!r}")
     archetype, size, extra = _SPEC_RECIPES[name]
     memory = memory or MainMemory()
-    rng = np.random.default_rng(hash(name) % (1 << 31))
+    # A stable digest of the name: str hashes are salted per interpreter.
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
     b = ProgramBuilder(f"spec-{name}")
     _emit_repeat_header(b, repeats)
 

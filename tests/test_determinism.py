@@ -4,8 +4,14 @@ A simulator that drifts between runs is useless for ablation studies;
 every stochastic choice in this codebase flows from fixed seeds.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.harness.runner import run
 from repro.workloads.registry import build_workload
 
@@ -20,6 +26,31 @@ class TestWorkloadDeterminism:
         assert a.program.instructions == b.program.instructions
         assert (a.memory.read_array(0x1_0000, 512).tolist()
                 == b.memory.read_array(0x1_0000, 512).tolist())
+
+
+class TestCrossInterpreterDeterminism:
+    """A build must not depend on anything salted per interpreter, such
+    as ``hash(str)``; two builds in one process cannot show that."""
+
+    @pytest.mark.parametrize("name", ["xz", "mcf"])
+    def test_builds_ignore_the_hash_seed(self, name):
+        digests = {_memory_digest(name, seed) for seed in ("1", "2")}
+        assert len(digests) == 1
+
+
+def _memory_digest(name, hash_seed):
+    """sha256 of *name*'s tiny-scale memory image, built in a fresh
+    interpreter under ``PYTHONHASHSEED=hash_seed``."""
+    code = ("import hashlib, sys\n"
+            "from repro.workloads.registry import build_workload\n"
+            "words = build_workload(sys.argv[1], 'tiny').memory.words\n"
+            "print(hashlib.sha256(words.tobytes()).hexdigest())\n")
+    src = str(Path(repro.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+    result = subprocess.run([sys.executable, "-c", code, name], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr[-2000:]
+    return result.stdout.strip()
 
 
 class TestRunDeterminism:

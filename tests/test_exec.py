@@ -1,6 +1,7 @@
 """Unit tests for the resilient execution layer (repro.exec)."""
 
 import json
+import os
 
 import pytest
 
@@ -12,10 +13,12 @@ from repro.exec import (
     FaultPlan,
     FaultSpec,
     InjectedCrash,
+    ProgressConfig,
     ResultView,
     RunFailure,
     RunJournal,
     RunSpec,
+    TelemetryConfig,
     config_key,
     parse_fault,
     run_cells,
@@ -155,6 +158,17 @@ class TestInlineExecution:
             run_cells([_spec()],
                       _quiet(faults=plan, retries=0, salvage=False))
 
+    def test_unexpected_exception_keeps_its_traceback(self, monkeypatch):
+        import repro.exec.spec as spec_module
+
+        def boom(spec, obs=None, progress=None):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(spec_module, "execute_spec", boom)
+        (failure,) = run_cells([_spec()], _quiet(retries=0)).failures
+        assert failure.kind == CRASH
+        assert "RuntimeError: boom" in failure.traceback
+
 
 class TestIsolatedExecution:
     def test_parallel_jobs_complete(self):
@@ -191,6 +205,69 @@ class TestIsolatedExecution:
                       _quiet(jobs=2, retries=0, faults=plan,
                              salvage=False))
         assert excinfo.value.failure.kind == CRASH
+
+    def test_warm_worker_runs_every_cell_like_inline(self):
+        specs = [_spec(), _spec(tech="svr16"), _spec(workload="HJ2",
+                                                     tech="ooo"),
+                 _spec(workload="Randacc", tech="svr16")]
+        report = run_cells(specs, _quiet(jobs=1, timeout_s=60.0,
+                                         telemetry=TelemetryConfig()))
+        assert report.ok_count == 4
+        (pid,) = set(_pids(report, specs))
+        assert pid != os.getpid()
+        # No state carries from one cell to the next in a warm worker.
+        inline = run_cells(specs, _quiet())
+        for spec in specs:
+            assert _export(report, spec) == _export(inline, spec)
+
+    def test_failed_cells_never_share_a_worker_with_later_ones(self):
+        plan = FaultPlan(specs=(FaultSpec(workload="HJ2"),
+                                FaultSpec(workload="Kangr", kind="hang")))
+        specs = [_spec(), _spec(workload="HJ2"), _spec(tech="ooo"),
+                 _spec(workload="Kangr"), _spec(tech="svr16")]
+        report = run_cells(specs, _quiet(
+            jobs=1, timeout_s=1.5, retries=0, faults=plan,
+            telemetry=TelemetryConfig()))
+        assert [o.status for o in report.outcomes] == [
+            "ok", "failed", "ok", "failed", "ok"]
+        assert [f.kind for f in report.failures] == [CRASH, HANG]
+        # The hung cell was killed, so it shipped no telemetry.
+        first, crashed, after_crash, after_hang = _pids(report, specs)
+        assert crashed == first            # the crash is reported ...
+        assert after_crash != first        # ... and its worker retired
+        assert after_hang not in (first, after_crash)   # hang: killed
+        inline = run_cells(specs, _quiet())
+        for spec in (specs[0], specs[2], specs[4]):
+            assert _export(report, spec) == _export(inline, spec)
+        # The parent track shows one spawn and one reap per worker.
+        spans = report.parent_spans
+        workers = {first, after_crash, after_hang}
+        for name in ("spawn", "reap"):
+            pids = [s["attrs"]["pid"] for s in spans if s["name"] == name]
+            assert sorted(pids) == sorted(workers)
+
+    def test_advancing_cell_outlives_the_wall_clock_fence(self):
+        # ~1.5 s of simulation against a 0.4 s fence: progress frames
+        # that advance the simulated clock keep pushing the fence out.
+        spec = RunSpec.make("Camel", "inorder", scale="bench",
+                            measure=300_000)
+        fenced = run_cells([spec], _quiet(timeout_s=0.4, retries=0))
+        (failure,) = fenced.failures
+        assert failure.kind == HANG
+        assert "wall-clock timeout" in failure.message
+        report = run_cells([spec], _quiet(
+            timeout_s=0.4, retries=0,
+            progress=ProgressConfig(interval=500, min_interval_s=0.0)))
+        assert report.ok_count == 1
+
+
+def _pids(report, specs):
+    return [report.outcome_for(spec).telemetry["pid"] for spec in specs
+            if report.outcome_for(spec).telemetry is not None]
+
+
+def _export(report, spec):
+    return json.dumps(report.outcome_for(spec).result, sort_keys=True)
 
 
 class TestFaultPlan:

@@ -100,7 +100,7 @@ class TestSweepTelemetryFlags:
         tracks = [ev for ev in trace["traceEvents"]
                   if ev.get("ph") == "M"
                   and ev.get("name") == "process_name"]
-        assert len(tracks) == 4            # parent + 3 worker cells
+        assert len(tracks) == 3            # parent + jobs=2 warm workers
 
     def test_no_telemetry_opts_out(self, capsys):
         assert main(["sweep", "svr16", "--workloads", "Camel",

@@ -3,6 +3,7 @@ the deterministic parent-side merge."""
 
 import itertools
 import json
+import os
 
 import pytest
 
@@ -95,7 +96,8 @@ class TestIsolatedCapture:
         records = report.telemetry_records()
         assert len(records) == 3
         pids = {t["pid"] for t in records}
-        assert len(pids) == 3             # one fresh process per cell
+        assert len(pids) == 2             # jobs warm workers, reused
+        assert os.getpid() not in pids
         for telem in records:
             assert telem["max_rss_kib"] > 0
             assert {"cell", "measure"} <= {s["name"]
@@ -110,6 +112,18 @@ class TestIsolatedCapture:
         assert worker_pids <= named
         assert len(named) == len(worker_pids) + 1   # + parent track
         assert trace["otherData"]["processes"] == len(named)
+
+    def test_worker_tracks_count_the_cells_they_ran(self):
+        report = run_cells(_specs(), _config(jobs=2))
+        labels = {ev["pid"]: ev["args"]["name"]
+                  for ev in report.trace()["traceEvents"]
+                  if ev.get("ph") == "M" and ev.get("name") == "process_name"}
+        counts = {}
+        for telem in report.telemetry_records():
+            counts[telem["pid"]] = counts.get(telem["pid"], 0) + 1
+        assert sorted(counts.values()) == [1, 2]
+        for pid, n in counts.items():
+            assert labels[pid] == f"worker {pid} ({n} cell{'s' * (n > 1)})"
 
     def test_parent_spans_include_spawn_and_reap(self):
         report = run_cells(_specs()[:1], _config(jobs=2))
