@@ -22,7 +22,7 @@ Commands
                                   exec journals, run logs and
                                   ``BENCH_*.json`` trajectory files
 ``serve [options]``               long-lived simulation service: warm
-                                  worker pool, admission control,
+                                  worker pool, bounded job queue,
                                   circuit breakers and a crash-safe
                                   content-addressed result cache
 ``submit WORKLOAD TECH [opts]``   submit one cell to a running server
@@ -740,7 +740,7 @@ def _cmd_serve(args) -> int:
     try:
         config = ServeConfig(
             host=args.host, port=args.port, workers=args.workers,
-            queue_limit=args.queue_limit, rate=args.rate, burst=args.burst,
+            queue_limit=args.queue_limit,
             timeout_s=args.timeout or None, retries=args.retries,
             store_dir=args.store, ledger=args.ledger or None,
             breaker_threshold=args.breaker_threshold,
@@ -748,10 +748,10 @@ def _cmd_serve(args) -> int:
             drain_timeout_s=args.drain_timeout,
             progress_interval=args.progress_interval,
             sample_interval_s=args.sample_interval, faults=faults)
+        server = ReproServer(config)
     except ValueError as exc:
         print(f"serve: {exc}", file=sys.stderr)
         return 2
-    server = ReproServer(config)
 
     def _on_signal(signum, _frame) -> None:
         server.request_drain(signal.Signals(signum).name)
@@ -775,13 +775,12 @@ def _cmd_serve(args) -> int:
 def _cmd_submit(args) -> int:
     from repro.serve import ServeClient, ServeClientError
 
-    client = ServeClient(args.url, client_id=args.client or None)
+    client = ServeClient(args.url)
     try:
         job = client.submit(
             args.workload, args.technique, scale=args.scale,
             warmup=args.warmup if args.warmup >= 0 else None,
-            measure=args.measure if args.measure >= 0 else None,
-            backpressure_timeout_s=args.backpressure_timeout)
+            measure=args.measure if args.measure >= 0 else None)
         payload: dict = {"job": job}
         if args.wait and job["state"] not in ("ok", "failed", "quarantined"):
             payload = client.wait(job["job_id"], timeout_s=args.wait_timeout)
@@ -1066,7 +1065,7 @@ def main(argv: list[str] | None = None) -> int:
 
     serve_p = sub.add_parser(
         "serve", help="long-lived simulation service (warm workers, "
-                      "admission control, breakers, result cache)")
+                      "bounded queue, breakers, result cache)")
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument("--port", type=int, default=8177,
                          help="listen port (0 = ephemeral; default 8177)")
@@ -1075,11 +1074,6 @@ def main(argv: list[str] | None = None) -> int:
     serve_p.add_argument("--queue-limit", type=int, default=32, metavar="N",
                          help="distinct queued cells before 429 "
                               "(default 32)")
-    serve_p.add_argument("--rate", type=float, default=0.0, metavar="R",
-                         help="per-client token-bucket refill rate in "
-                              "jobs/s (0 = unlimited)")
-    serve_p.add_argument("--burst", type=float, default=10.0, metavar="B",
-                         help="per-client token-bucket capacity")
     serve_p.add_argument("--timeout", type=float, default=120.0,
                          metavar="SECONDS",
                          help="wall-clock hang fence per cell attempt "
@@ -1127,18 +1121,11 @@ def main(argv: list[str] | None = None) -> int:
                           help="override warmup window (-1 = default)")
     submit_p.add_argument("--measure", type=int, default=-1, metavar="N",
                           help="override measure window (-1 = default)")
-    submit_p.add_argument("--client", default="",
-                          help="client id for rate limiting "
-                               "(default: remote address)")
     submit_p.add_argument("--wait", action="store_true",
                           help="poll until the job reaches a terminal "
                                "verdict")
     submit_p.add_argument("--wait-timeout", type=float, default=300.0,
                           metavar="SECONDS")
-    submit_p.add_argument("--backpressure-timeout", type=float, default=0.0,
-                          metavar="SECONDS",
-                          help="retry 429 refusals (honouring Retry-After) "
-                               "up to this long")
     submit_p.add_argument("--json", action="store_true",
                           help="print machine-readable JSON instead of text")
 

@@ -12,8 +12,10 @@ The pieces (design rationale in ``docs/resilience.md``):
 * :mod:`repro.exec.faults`   — seeded, deterministic fault injection so
   the resilience paths are themselves testable;
 * :mod:`repro.exec.executor` — :func:`run_cells`, the executor every
-  sweep and figure routes through, and :class:`WorkerPool`, the warm
-  worker pool that isolates cells for it and for ``repro serve``;
+  sweep and figure routes through; :class:`WorkerPool`, the warm
+  worker pool that isolates cells for it and for ``repro serve``; and
+  :class:`OutcomeSink`, the retry decision, probes and journal records
+  both settle cells through;
 * :mod:`repro.exec.telemetry` — cross-process telemetry: per-worker
   span / metric / rusage capture shipped over the result pipe, and the
   deterministic parent-side merge (see ``docs/observability.md``).
@@ -29,6 +31,7 @@ from repro.exec.executor import (
     Completion,
     ExecConfig,
     ExecReport,
+    OutcomeSink,
     WorkerPool,
     run_cells,
 )
@@ -75,6 +78,7 @@ __all__ = [
     "QUARANTINED",
     "InjectedCrash",
     "InjectedHang",
+    "OutcomeSink",
     "ProgressConfig",
     "ResultView",
     "RunFailure",

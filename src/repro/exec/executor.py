@@ -64,7 +64,7 @@ from repro.exec.faults import (
     _unit_interval,
     apply_fault,
 )
-from repro.exec.journal import RunJournal
+from repro.exec.journal import RunJournal, cell_record
 from repro.exec.spec import ResultView, RunSpec
 from repro.exec.telemetry import (
     CellCapture,
@@ -162,6 +162,7 @@ class CellOutcome:
     elapsed_s: float = 0.0
     cached: bool = False              # served from the resume journal
     telemetry: dict | None = None     # CellCapture.snapshot payload
+    record: dict | None = None        # its journal cell record, as written
 
     @property
     def ok(self) -> bool:
@@ -658,9 +659,11 @@ class WorkerPool:
 # Parent side.
 # ---------------------------------------------------------------------------
 
-class _Sink:
-    """Shared outcome plumbing: probe emissions, journal appends, and
-    the parent-side span track of the exec lifecycle."""
+class OutcomeSink:
+    """Parent-side outcome plumbing: the retry decision, probe
+    emissions, journal appends, and the span track of the exec
+    lifecycle.  :func:`run_cells`' runners and the ``repro serve``
+    scheduler settle every cell through it."""
 
     def __init__(self, config: ExecConfig) -> None:
         self.config = config
@@ -751,7 +754,8 @@ class _Sink:
                               attempts=record.get("attempts", 1),
                               elapsed_s=record.get("elapsed_s", 0.0),
                               cached=True,
-                              telemetry=record.get("telemetry"))
+                              telemetry=record.get("telemetry"),
+                              record=record)
         self.p_cell.emit(key=spec.key, workload=spec.workload,
                          technique=spec.technique_name, status="ok",
                          cached=True, attempts=outcome.attempts,
@@ -774,7 +778,7 @@ class _Sink:
         if self.journal is not None:
             self.journal.append_event(
                 "retry", key=spec.key, attempt=attempt, kind=failure.kind,
-                delay_s=round(delay, 3))
+                message=failure.message, delay_s=round(delay, 3))
         return delay
 
     def timeout(self, spec: RunSpec, attempt: int) -> None:
@@ -793,20 +797,20 @@ class _Sink:
                          status=outcome.status, cached=False,
                          attempts=outcome.attempts,
                          elapsed_s=outcome.elapsed_s)
+        outcome.record = cell_record(
+            key=spec.key, workload=spec.workload,
+            technique=spec.technique_name, scale=spec.scale,
+            status=outcome.status, attempts=outcome.attempts,
+            elapsed_s=outcome.elapsed_s, result=outcome.result,
+            failure=(outcome.failure.to_dict()
+                     if outcome.failure else None),
+            spec=spec.config_dict(), telemetry=outcome.telemetry)
         if self.journal is not None:
-            self.journal.append_cell(
-                key=spec.key, workload=spec.workload,
-                technique=spec.technique_name, scale=spec.scale,
-                status=outcome.status, attempts=outcome.attempts,
-                elapsed_s=outcome.elapsed_s, result=outcome.result,
-                failure=(outcome.failure.to_dict()
-                         if outcome.failure else None),
-                spec=spec.config_dict(),
-                telemetry=outcome.telemetry)
+            self.journal.append(outcome.record)
 
 
 def _run_inline(pending: list[RunSpec], config: ExecConfig,
-                sink: _Sink) -> list[CellOutcome]:
+                sink: OutcomeSink) -> list[CellOutcome]:
     outcomes = []
     for spec in pending:
         attempt = 1
@@ -860,7 +864,7 @@ class _Cell:
 
 
 def _run_isolated(pending: list[RunSpec], config: ExecConfig,
-                  sink: _Sink) -> list[CellOutcome]:
+                  sink: OutcomeSink) -> list[CellOutcome]:
     waiting: list[_Cell] = [_Cell(spec) for spec in pending]
     inflight: dict[str, _Cell] = {}
     outcomes: list[CellOutcome] = []
@@ -927,7 +931,7 @@ def run_cells(specs: Sequence[RunSpec],
               config: ExecConfig | None = None) -> ExecReport:
     """Execute every unique cell in *specs*; see the module docstring."""
     config = config or ExecConfig()
-    sink = _Sink(config)
+    sink = OutcomeSink(config)
     known = (sink.journal.load()
              if sink.journal is not None and config.resume else {})
 

@@ -31,6 +31,30 @@ if TYPE_CHECKING:
 JOURNAL_VERSION = 1
 
 
+def cell_record(*, key: str, workload: str, technique: str, scale: str,
+                status: str, attempts: int, elapsed_s: float,
+                result: dict | None = None, failure: dict | None = None,
+                spec: dict | None = None,
+                telemetry: dict | None = None) -> dict[str, Any]:
+    """One settled cell as a ``cell`` record (what :meth:`RunJournal.load`
+    returns, less the ``v``/``ts`` stamps :meth:`RunJournal.append`
+    adds)."""
+    record: dict[str, Any] = {
+        "event": "cell", "key": key, "workload": workload,
+        "technique": technique, "scale": scale, "status": status,
+        "attempts": attempts, "elapsed_s": round(elapsed_s, 6),
+    }
+    if result is not None:
+        record["result"] = result
+    if failure is not None:
+        record["failure"] = failure
+    if spec is not None:
+        record["spec"] = spec
+    if telemetry is not None:
+        record["telemetry"] = telemetry
+    return record
+
+
 class RunJournal:
     """Append-only JSONL checkpoint of completed cells."""
 
@@ -78,6 +102,8 @@ class RunJournal:
             self._p_skip.emit(path=str(self.path), line=line_no)
 
     def append(self, record: dict[str, Any]) -> None:
+        """Stamp *record* in place with ``v`` and ``ts`` (unless set),
+        then append it durably."""
         record.setdefault("v", JOURNAL_VERSION)
         record.setdefault("ts", round(time.time(), 3))
         self.path.parent.mkdir(parents=True, exist_ok=True)
@@ -87,26 +113,9 @@ class RunJournal:
             fh.flush()
             os.fsync(fh.fileno())
 
-    def append_cell(self, *, key: str, workload: str, technique: str,
-                    scale: str, status: str, attempts: int,
-                    elapsed_s: float, result: dict | None = None,
-                    failure: dict | None = None,
-                    spec: dict | None = None,
-                    telemetry: dict | None = None) -> None:
-        record: dict[str, Any] = {
-            "event": "cell", "key": key, "workload": workload,
-            "technique": technique, "scale": scale, "status": status,
-            "attempts": attempts, "elapsed_s": round(elapsed_s, 6),
-        }
-        if result is not None:
-            record["result"] = result
-        if failure is not None:
-            record["failure"] = failure
-        if spec is not None:
-            record["spec"] = spec
-        if telemetry is not None:
-            record["telemetry"] = telemetry
-        self.append(record)
+    def append_cell(self, **fields: Any) -> None:
+        """Append one :func:`cell_record` built from *fields*."""
+        self.append(cell_record(**fields))
 
     def append_event(self, event: str, **fields: Any) -> None:
         """Free-form marker records (``retry``, ``timeout``, ``sweep``)

@@ -5,12 +5,13 @@ exits; this package keeps a simulator fleet alive behind an HTTP
 endpoint, able to absorb crashes, hangs, floods and disk corruption
 without falling over (design rationale in ``docs/serving.md``).  Its
 workers are the executor's own warm pool
-(:class:`repro.exec.WorkerPool`); the pieces around them:
+(:class:`repro.exec.WorkerPool`), and it settles each cell through the
+executor's :class:`repro.exec.OutcomeSink`, so a served cell is retried,
+counted and journaled exactly as :func:`repro.exec.run_cells` does it.
+The pieces around them:
 
 * :mod:`repro.serve.queue`     — bounded, coalescing job queue
   (:class:`JobQueue`, :class:`QueueFull`);
-* :mod:`repro.serve.ratelimit` — per-client token buckets
-  (:class:`RateLimiter`, :class:`TokenBucket`);
 * :mod:`repro.serve.breaker`   — per-config-hash circuit breaker
   (:class:`CircuitBreaker`);
 * :mod:`repro.serve.store`     — crash-safe content-addressed result
@@ -39,7 +40,6 @@ from repro.serve.queue import (
     JobQueue,
     QueueFull,
 )
-from repro.serve.ratelimit import RateLimiter, TokenBucket
 from repro.serve.server import (
     Reject,
     ReproServer,
@@ -64,7 +64,6 @@ __all__ = [
     "QUEUED",
     "QueueFull",
     "RUNNING",
-    "RateLimiter",
     "Reject",
     "ReproServer",
     "ResultStore",
@@ -72,7 +71,6 @@ __all__ = [
     "ServeClientError",
     "ServeConfig",
     "TERMINAL_STATES",
-    "TokenBucket",
     "install_serve_metrics",
     "record_digest",
 ]

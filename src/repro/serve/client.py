@@ -1,10 +1,8 @@
 """Stdlib HTTP client for a running ``repro serve`` instance.
 
 Used by the ``repro submit`` / ``repro jobs`` CLI subcommands, the test
-suite and the CI smoke job.  Backpressure is first-class: a 429 surfaces
-as :class:`ServeClientError` carrying the server's ``Retry-After`` hint,
-and :meth:`ServeClient.submit` can optionally honour it in a bounded
-retry loop instead of failing the caller.
+suite and the CI smoke job.  A 429 from the bounded queue surfaces as
+:class:`ServeClientError` carrying the server's ``Retry-After`` hint.
 """
 
 from __future__ import annotations
@@ -29,10 +27,8 @@ class ServeClientError(RuntimeError):
 class ServeClient:
     """Thin JSON-over-HTTP client bound to one server base URL."""
 
-    def __init__(self, base_url: str, client_id: str | None = None,
-                 timeout_s: float = 30.0) -> None:
+    def __init__(self, base_url: str, timeout_s: float = 30.0) -> None:
         self.base_url = base_url.rstrip("/")
-        self.client_id = client_id
         self.timeout_s = timeout_s
 
     # -- transport ----------------------------------------------------
@@ -40,8 +36,6 @@ class ServeClient:
     def _request(self, method: str, path: str,
                  payload: dict | None = None) -> tuple[int, bytes]:
         headers = {"Accept": "application/json"}
-        if self.client_id:
-            headers["X-Repro-Client"] = self.client_id
         body = None
         if payload is not None:
             body = json.dumps(payload).encode("utf-8")
@@ -121,8 +115,6 @@ class ServeClient:
             query.append(f"replay={replay}")
         path = "/events" + ("?" + "&".join(query) if query else "")
         headers = {"Accept": "application/x-ndjson"}
-        if self.client_id:
-            headers["X-Repro-Client"] = self.client_id
         request = urllib.request.Request(self.base_url + path,
                                          headers=headers)
         try:
@@ -142,9 +134,6 @@ class ServeClient:
                 0, f"cannot stream {self.base_url}{path}: "
                    f"{getattr(exc, 'reason', exc)}") from None
 
-    def spans(self) -> list[dict[str, Any]]:
-        return self._json("GET", "/admin/spans")["spans"]
-
     def result_bytes(self, key: str) -> bytes:
         """Raw store-entry bytes for *key* (byte-identity checks)."""
         _status, raw = self._request("GET", f"/results/{key}")
@@ -155,29 +144,16 @@ class ServeClient:
 
     def submit(self, workload: str, technique: str, *,
                scale: str = "bench", warmup: int | None = None,
-               measure: int | None = None,
-               backpressure_timeout_s: float = 0.0) -> dict[str, Any]:
+               measure: int | None = None) -> dict[str, Any]:
         """Submit one cell; returns the job dict (state may already be
-        terminal for cache hits and quarantined configs).
-
-        ``backpressure_timeout_s > 0`` retries 429 refusals, sleeping
-        the server's Retry-After hint, until the deadline.
-        """
+        terminal for cache hits and quarantined configs)."""
         payload: dict[str, Any] = {"workload": workload,
                                    "technique": technique, "scale": scale}
         if warmup is not None:
             payload["warmup"] = warmup
         if measure is not None:
             payload["measure"] = measure
-        deadline = time.monotonic() + backpressure_timeout_s
-        while True:
-            try:
-                return self._json("POST", "/jobs", payload)["job"]
-            except ServeClientError as exc:
-                if exc.status != 429 or time.monotonic() >= deadline:
-                    raise
-                time.sleep(min(exc.retry_after_s or 0.5,
-                               max(0.0, deadline - time.monotonic())))
+        return self._json("POST", "/jobs", payload)["job"]
 
     def wait(self, job_id: str, timeout_s: float = 300.0,
              poll_s: float = 0.2) -> dict[str, Any]:

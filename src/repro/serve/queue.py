@@ -1,6 +1,6 @@
 """Bounded job queue with coalescing — the admission-control core.
 
-A :class:`Job` is one client submission; its *cell* is the underlying
+A :class:`Job` is one submission; its *cell* is the underlying
 ``(workload, technique, scale)`` simulation keyed by the deterministic
 config hash.  Duplicate submissions of an active cell **coalesce**: they
 become additional jobs attached to the same in-flight cell instead of
@@ -44,11 +44,10 @@ class QueueFull(RuntimeError):
 
 @dataclass
 class Job:
-    """One client submission through its lifecycle."""
+    """One submission through its lifecycle."""
 
     job_id: str
     spec: RunSpec
-    client: str
     state: str = QUEUED
     submitted_ts: float = field(default_factory=time.time)
     started_mono: float | None = None
@@ -87,8 +86,8 @@ class Job:
             "job_id": self.job_id, "key": self.key,
             "workload": self.spec.workload,
             "technique": self.spec.technique_name,
-            "scale": self.spec.scale, "client": self.client,
-            "state": self.state, "submitted_ts": self.submitted_ts,
+            "scale": self.spec.scale, "state": self.state,
+            "submitted_ts": self.submitted_ts,
             "attempts": self.attempts, "cached": self.cached,
             "coalesced": self.coalesced, "version": self.version,
         }
@@ -126,7 +125,7 @@ class JobQueue:
 
     # -- admission ----------------------------------------------------
 
-    def submit(self, spec: RunSpec, client: str) -> Job:
+    def submit(self, spec: RunSpec) -> Job:
         """Admit one submission; raises :class:`QueueFull` at capacity.
 
         A submission whose cell is already queued or running coalesces
@@ -140,7 +139,7 @@ class JobQueue:
                 raise QueueFull(len(self._pending), self.limit,
                                 self.retry_after_s)
             job = Job(job_id=f"job-{next(self._ids)}", spec=spec,
-                      client=client, coalesced=coalesced)
+                      coalesced=coalesced)
             self._remember(job)
             if coalesced:
                 job.state = self._jobs[self._active[key][0]].state
@@ -150,15 +149,14 @@ class JobQueue:
                 self._pending.append(key)
             return job
 
-    def admit_terminal(self, spec: RunSpec, client: str, state: str,
-                       *, cached: bool = False,
+    def admit_terminal(self, spec: RunSpec, state: str, *,
+                       cached: bool = False,
                        failure: RunFailure | None = None) -> Job:
         """Record a job that settles at admission time (cache hit or
         breaker quarantine) without ever entering the queue."""
         with self._lock:
             job = Job(job_id=f"job-{next(self._ids)}", spec=spec,
-                      client=client, state=state, cached=cached,
-                      failure=failure)
+                      state=state, cached=cached, failure=failure)
             now = time.monotonic()
             job.started_mono = job.finished_mono = now
             self._remember(job)

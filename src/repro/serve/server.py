@@ -5,20 +5,19 @@ pieces together around one **scheduler thread**:
 
 * HTTP threads (``ThreadingHTTPServer``) only touch the internally
   locked admission objects — :class:`~repro.serve.queue.JobQueue`,
-  :class:`~repro.serve.ratelimit.RateLimiter`,
   :class:`~repro.serve.breaker.CircuitBreaker`,
   :class:`~repro.serve.store.ResultStore`;
 * exactly one scheduler thread owns the
   :class:`~repro.exec.executor.WorkerPool` pipes and the
-  :class:`~repro.obs.spans.SpanTracer`, dispatching queued cells,
-  harvesting verdicts, scheduling jittered retries
-  (:meth:`repro.exec.executor.ExecConfig.backoff_delay`), promoting
-  successes into the content-addressed store + JSONL ledger, and
-  feeding the breaker.
+  :class:`~repro.exec.executor.OutcomeSink`, dispatching queued cells,
+  harvesting verdicts, and settling them through the sink exactly as
+  :func:`~repro.exec.executor.run_cells` does (retry decision, ``exec.*``
+  probes, ledger records), then promoting successes into the
+  content-addressed store and feeding the breaker.
 
 Admission pipeline for ``POST /jobs`` (first refusal wins)::
 
-    drain guard -> rate limit (429) -> validation (400)
+    drain guard (503) -> validation (400)
       -> store hit (200, cached) -> breaker (200, quarantined verdict)
       -> queue (202, or 429 + Retry-After when full)
 
@@ -47,15 +46,14 @@ import json
 import math
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlparse
 
-from repro.exec.executor import Completion, ExecConfig, WorkerPool
+from repro.exec.executor import Completion, ExecConfig, OutcomeSink, WorkerPool
 from repro.exec.failures import HANG, RunFailure
 from repro.exec.faults import FaultPlan
-from repro.exec.journal import RunJournal
 from repro.exec.spec import RunSpec
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -64,7 +62,6 @@ from repro.obs.metrics import (
 )
 from repro.obs.probes import ProbeBus
 from repro.obs.progress import ProgressConfig
-from repro.obs.spans import SpanTracer
 from repro.serve.breaker import OPEN, CircuitBreaker
 from repro.serve.events import EventBroker, MetricsRing
 from repro.serve.queue import (
@@ -75,7 +72,6 @@ from repro.serve.queue import (
     JobQueue,
     QueueFull,
 )
-from repro.serve.ratelimit import RateLimiter
 from repro.serve.store import ResultStore
 
 SERVE_VERSION = 1
@@ -102,13 +98,10 @@ class ServeConfig:
     port: int = 0                     # 0 = ephemeral (tests)
     workers: int = 2                  # warm worker processes
     queue_limit: int = 32             # distinct queued cells before 429
-    rate: float = 0.0                 # tokens/s per client; 0 = unlimited
-    burst: float = 10.0               # token-bucket capacity
     timeout_s: float | None = 120.0   # wall-clock hang fence per attempt
     retries: int = 1                  # extra attempts for crash/hang
     backoff_s: float = 0.25           # first retry delay (jittered)
     max_backoff_s: float = 5.0
-    jitter_seed: int = 0
     store_dir: str = "results/store"
     ledger: str | None = "results/serve-ledger.jsonl"
     breaker_threshold: int = 3        # consecutive crash/hang -> open
@@ -117,9 +110,6 @@ class ServeConfig:
     faults: FaultPlan | None = None   # injected faults (tests, demos)
     progress_interval: int = 1_000    # instructions between frames; 0 = off
     sample_interval_s: float = 2.0    # metrics-history push cadence
-    history_size: int = 512           # metrics ring capacity
-    events_queue: int = 256           # per-subscriber event queue bound
-    events_replay: int = 64           # /events?replay=N ring capacity
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -129,9 +119,6 @@ class ServeConfig:
             raise ValueError(
                 f"ServeConfig.queue_limit must be >= 1, "
                 f"got {self.queue_limit}")
-        if self.rate < 0:
-            raise ValueError(
-                f"ServeConfig.rate must be >= 0, got {self.rate}")
         if self.retries < 0:
             raise ValueError(
                 f"ServeConfig.retries must be >= 0, got {self.retries}")
@@ -225,8 +212,9 @@ class ReproServer:
         self.registry = MetricsRegistry()
         install_standard_metrics(self.bus, self.registry)
         install_serve_metrics(self.bus, self.registry)
-        # Probes fire from HTTP threads and the scheduler alike; one lock
-        # serialises emission (and the single-threaded tracer behind it).
+        # serve.* probes fire from HTTP threads and the scheduler alike;
+        # one lock serialises their emission.  The sink's exec.* probes
+        # fire only on the scheduler thread.
         self._obs_lock = threading.Lock()
         self._p_request = self.bus.probe("serve.request")
         self._p_admit = self.bus.probe("serve.admit")
@@ -237,17 +225,15 @@ class ReproServer:
         self._p_worker = self.bus.probe("serve.worker")
         self._p_store = self.bus.probe("serve.store")
         self._p_progress = self.bus.probe("serve.progress")
-        self._p_cell = self.bus.probe("exec.cell")
-        self._p_failure = self.bus.probe("exec.failure")
-        self._p_retry = self.bus.probe("exec.retry")
 
-        self.ledger = (RunJournal(config.ledger, bus=self.bus)
-                       if config.ledger else None)
+        self.sink = OutcomeSink(ExecConfig(
+            timeout_s=config.timeout_s, retries=config.retries,
+            backoff_s=config.backoff_s, max_backoff_s=config.max_backoff_s,
+            journal=config.ledger, bus=self.bus))
+        self.ledger = self.sink.journal
         self.store = ResultStore(config.store_dir,
                                  on_corrupt=self._on_corrupt)
         self.queue = JobQueue(limit=config.queue_limit)
-        self.limiter = (RateLimiter(config.rate, config.burst)
-                        if config.rate > 0 else None)
         self.breaker = CircuitBreaker(threshold=config.breaker_threshold,
                                       cooldown_s=config.breaker_cooldown_s)
         self.pool = WorkerPool(config.workers, timeout_s=config.timeout_s,
@@ -257,18 +243,12 @@ class ReproServer:
                                    interval=config.progress_interval)
                                    if config.progress_interval > 0
                                    else None))
-        self.events = EventBroker(queue_size=config.events_queue,
-                                  replay_size=config.events_replay)
-        self.history = MetricsRing(size=config.history_size)
+        self.events = EventBroker()
+        self.history = MetricsRing()
         self._last_sample = 0.0
-        self.tracer = SpanTracer()
-        self._delays = ExecConfig(
-            retries=config.retries, backoff_s=config.backoff_s,
-            max_backoff_s=config.max_backoff_s,
-            jitter_seed=config.jitter_seed)
 
         self._attempts: dict[str, int] = {}     # key -> attempts so far
-        self._cell_started: dict[str, float] = {}
+        self._elapsed: dict[str, float] = {}    # key -> summed attempt time
         self._delayed: list[tuple[float, str]] = []   # (ready_at, key)
         self._corrupt_seen = 0
         self._rebuild_lock = threading.Lock()
@@ -354,24 +334,16 @@ class ReproServer:
 
     # -- admission (HTTP threads) -------------------------------------
 
-    def submit(self, payload: Any, client: str) -> tuple[Job, int]:
+    def submit(self, payload: Any) -> tuple[Job, int]:
         """Admit one submission; returns ``(job, http_status)`` or
         raises :class:`Reject`."""
         if self._draining:
             raise Reject(503, "server is draining; not accepting jobs")
-        if self.limiter is not None:
-            granted, retry_after = self.limiter.acquire(client)
-            if not granted:
-                self._emit(self._p_reject, reason="ratelimit",
-                           client=client)
-                raise Reject(429,
-                             f"rate limit exceeded for client {client!r}",
-                             retry_after)
         spec = self._validate(payload)
         key = spec.key
         record = self.lookup(key)
         if record is not None:
-            job = self.queue.admit_terminal(spec, client, OK, cached=True)
+            job = self.queue.admit_terminal(spec, OK, cached=True)
             self._emit(self._p_cache, key=key, hit=True)
             self._job_settled(job)
             return job, 200
@@ -380,7 +352,7 @@ class ReproServer:
         if not run_it:
             failure = self.breaker.quarantine_failure(
                 key, spec.workload, spec.technique_name)
-            job = self.queue.admit_terminal(spec, client, QUARANTINED_STATE,
+            job = self.queue.admit_terminal(spec, QUARANTINED_STATE,
                                             failure=failure)
             self._emit(self._p_breaker, action="short_circuit", key=key,
                        state=state)
@@ -389,12 +361,11 @@ class ReproServer:
             self._job_settled(job)
             return job, 200
         try:
-            job = self.queue.submit(spec, client)
+            job = self.queue.submit(spec)
         except QueueFull as exc:
-            self._emit(self._p_reject, reason="queue_full", client=client)
+            self._emit(self._p_reject, reason="queue_full")
             raise Reject(429, str(exc), exc.retry_after_s) from None
-        self._emit(self._p_admit, key=key, client=client,
-                   coalesced=job.coalesced)
+        self._emit(self._p_admit, key=key, coalesced=job.coalesced)
         self.events.publish("job", job_id=job.job_id, key=key,
                             state=job.state, coalesced=job.coalesced)
         return job, 202
@@ -487,7 +458,6 @@ class ReproServer:
                 attempt = self._attempts.get(spec.key, 0) + 1
                 self._attempts[spec.key] = attempt
                 self.queue.bump_attempts(spec.key, attempt)
-                self._cell_started.setdefault(spec.key, now)
                 self.pool.dispatch(spec, attempt)
                 for job in self.queue.jobs_for(spec.key):
                     self.events.publish("job", job_id=job.job_id,
@@ -506,28 +476,27 @@ class ReproServer:
                     return
 
     def _handle(self, c: Completion) -> None:
+        """Settle one attempt through the sink, as ``run_cells`` does:
+        finish its cell, or schedule a retry (never while draining)."""
         key = c.spec.key
+        self._attempts.pop(key, None)
+        elapsed = self._elapsed.pop(key, 0.0) + (c.ended - c.started)
         if c.ok:
-            self._settle_ok(c)
+            self._settle_ok(c, elapsed)
             return
-        kind = c.failure.kind
-        retryable = (kind in self._delays.retry_kinds
-                     and c.attempt <= self.config.retries
-                     and not self._draining)
-        if retryable:
-            delay = self._delays.backoff_delay(c.attempt, key)
-            self._emit(self._p_retry, key=key, workload=c.spec.workload,
-                       technique=c.spec.technique_name, attempt=c.attempt,
-                       kind=kind, delay_s=delay)
-            if self.ledger is not None:
-                self.ledger.append_event(
-                    "retry", key=key, attempt=c.attempt, kind=kind,
-                    message=c.failure.message, delay_s=round(delay, 4))
-            self._delayed.append((time.monotonic() + delay, key))
-            self.events.publish("retry", key=key, attempt=c.attempt,
-                                kind=kind, delay_s=round(delay, 4))
+        if c.timed_out:
+            self.sink.timeout(c.spec, c.attempt)
+        failure = c.failure
+        failure.attempts, failure.elapsed_s = c.attempt, elapsed
+        delay = (None if self._draining
+                 else self.sink.retry_delay(c.spec, failure))
+        if delay is None:
+            self._settle_failed(c.spec, failure)
             return
-        self._settle_failed(c)
+        self._attempts[key], self._elapsed[key] = c.attempt, elapsed
+        self._delayed.append((time.monotonic() + delay, key))
+        self.events.publish("retry", key=key, attempt=c.attempt,
+                            kind=failure.kind, delay_s=round(delay, 4))
 
     def _push_sample(self) -> None:
         """One point-in-time gauge sample into the history ring (and the
@@ -550,42 +519,19 @@ class ReproServer:
         if self.ledger is not None:
             self.ledger.append_event("serve.sample", **sample)
 
-    def _cell_common(self, c: Completion) -> tuple[int, float]:
-        attempts = self._attempts.pop(c.spec.key, c.attempt)
-        started = self._cell_started.pop(c.spec.key, None)
-        now = time.monotonic()
-        elapsed = now - started if started is not None else 0.0
-        self.tracer.add("serve.cell", started if started is not None
-                        else now, now, workload=c.spec.workload,
-                        technique=c.spec.technique_name,
-                        status="ok" if c.ok else "fail", attempts=attempts)
-        return attempts, elapsed
-
-    def _settle_ok(self, c: Completion) -> None:
+    def _settle_ok(self, c: Completion, elapsed: float) -> None:
         key = c.spec.key
-        attempts, elapsed = self._cell_common(c)
-        record = {
-            "event": "cell", "key": key, "workload": c.spec.workload,
-            "technique": c.spec.technique_name, "scale": c.spec.scale,
-            "status": "ok", "attempts": attempts,
-            "elapsed_s": round(elapsed, 6), "result": c.result,
-            "spec": c.spec.config_dict(),
-        }
-        self.store.put(key, record)
-        if self.ledger is not None:
-            self.ledger.append(dict(record))
+        outcome = self.sink.ok(c.spec, c.result, c.attempt, elapsed,
+                               c.telemetry)
+        # The ledger's record, stamped by its append: a rebuild from the
+        # ledger writes back the very same entry.
+        self.store.put(key, outcome.record)
         self.breaker.record_success(key)
-        self._emit(self._p_cell, key=key, workload=c.spec.workload,
-                   technique=c.spec.technique_name, status="ok",
-                   cached=False, attempts=attempts, elapsed_s=elapsed)
-        for job in self.queue.settle(key, OK, attempts=attempts):
+        for job in self.queue.settle(key, OK, attempts=c.attempt):
             self._job_settled(job)
 
-    def _settle_failed(self, c: Completion) -> None:
-        key = c.spec.key
-        attempts, elapsed = self._cell_common(c)
-        failure = c.failure
-        failure.attempts, failure.elapsed_s = attempts, elapsed
+    def _settle_failed(self, spec: RunSpec, failure: RunFailure) -> None:
+        key = spec.key
         state = self.breaker.record_failure(key, failure.kind,
                                             failure.message)
         if state == OPEN:
@@ -595,16 +541,8 @@ class ReproServer:
             if self.ledger is not None:
                 self.ledger.append_event("serve.breaker", key=key,
                                          state=state)
-        if self.ledger is not None:
-            self.ledger.append_cell(
-                key=key, workload=c.spec.workload,
-                technique=c.spec.technique_name, scale=c.spec.scale,
-                status="failed", attempts=attempts, elapsed_s=elapsed,
-                failure=failure.to_dict(), spec=c.spec.config_dict())
-        self._emit(self._p_failure, key=key, workload=c.spec.workload,
-                   technique=c.spec.technique_name, kind=failure.kind,
-                   message=failure.message, attempts=attempts)
-        for job in self.queue.settle(key, FAILED, attempts=attempts,
+        self.sink.fail(spec, failure)
+        for job in self.queue.settle(key, FAILED, attempts=failure.attempts,
                                      failure=failure):
             self._job_settled(job)
 
@@ -680,10 +618,6 @@ class ReproServer:
             "serve.uptime_s": round(
                 time.monotonic() - self._started_mono, 3),
         }
-
-    def spans(self) -> list[dict[str, Any]]:
-        with self._obs_lock:
-            return self.tracer.export()
 
 
 class _HTTPServer(ThreadingHTTPServer):
@@ -777,9 +711,6 @@ class _Handler(BaseHTTPRequestHandler):
                 return self._get_job(path[len("/jobs/"):])
             if path.startswith("/results/"):
                 return self._get_result(path[len("/results/"):])
-            if path == "/admin/spans":
-                self._json(200, {"spans": rs.spans()})
-                return 200
             self._error(404, f"no such resource: {path}")
             return 404
         if path == "/jobs":
@@ -917,8 +848,6 @@ class _Handler(BaseHTTPRequestHandler):
             payload = json.loads(raw) if raw else {}
         except json.JSONDecodeError as exc:
             raise Reject(400, f"request body is not valid JSON: {exc}")
-        client = (self.headers.get("X-Repro-Client")
-                  or self.client_address[0])
-        job, status = self.rs.submit(payload, client)
+        job, status = self.rs.submit(payload)
         self._json(status, {"job": job.to_dict()})
         return status

@@ -204,8 +204,7 @@ class TestExecutorProgress:
 class TestQueueLongPoll:
     def _submitted(self):
         queue = JobQueue(limit=4)
-        job = queue.submit(RunSpec.make("PR_KR", "svr16", scale="tiny"),
-                           "tester")
+        job = queue.submit(RunSpec.make("PR_KR", "svr16", scale="tiny"))
         return queue, job
 
     def test_queued_job_reports_wait_so_far(self):

@@ -9,6 +9,7 @@ import os
 
 import pytest
 
+from repro.__main__ import main
 from repro.exec import CRASH, HANG, QUARANTINED, ExecConfig, RunJournal
 from repro.exec.spec import RunSpec
 from repro.obs.metrics import MetricsRegistry, install_standard_metrics
@@ -20,9 +21,7 @@ from repro.serve import (
     CircuitBreaker,
     JobQueue,
     QueueFull,
-    RateLimiter,
     ResultStore,
-    TokenBucket,
     record_digest,
 )
 
@@ -142,7 +141,7 @@ class TestResultStore:
 
 
 # ---------------------------------------------------------------------------
-# Token buckets.
+# Circuit breaker.
 # ---------------------------------------------------------------------------
 
 class FakeClock:
@@ -152,60 +151,6 @@ class FakeClock:
     def __call__(self) -> float:
         return self.now
 
-
-class TestRateLimit:
-    def test_burst_then_refusal_with_retry_hint(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=1.0, burst=2.0, clock=clock)
-        assert bucket.acquire() == (True, 0.0)
-        assert bucket.acquire() == (True, 0.0)
-        granted, retry = bucket.acquire()
-        assert not granted
-        assert retry == pytest.approx(1.0)
-
-    def test_refill_is_continuous_and_capped(self):
-        clock = FakeClock()
-        bucket = TokenBucket(rate=2.0, burst=4.0, clock=clock)
-        for _ in range(4):
-            assert bucket.acquire()[0]
-        clock.now = 0.25                        # half a token back
-        assert not bucket.acquire()[0]
-        clock.now = 0.5
-        assert bucket.acquire()[0]
-        clock.now = 1e6                         # never exceeds burst
-        for _ in range(4):
-            assert bucket.acquire()[0]
-        assert not bucket.acquire()[0]
-
-    def test_limiter_isolates_clients(self):
-        clock = FakeClock()
-        limiter = RateLimiter(rate=1.0, burst=1.0, clock=clock)
-        assert limiter.acquire("alice")[0]
-        assert not limiter.acquire("alice")[0]
-        assert limiter.acquire("bob")[0]        # separate bucket
-
-    def test_client_table_is_bounded(self):
-        clock = FakeClock()
-        limiter = RateLimiter(rate=1.0, burst=1.0, max_clients=8,
-                              clock=clock)
-        for i in range(8):
-            clock.now = float(i)
-            limiter.acquire(f"client-{i}")
-        assert limiter.clients() == 8
-        clock.now = 100.0
-        limiter.acquire("client-new")           # evicts the stalest
-        assert limiter.clients() <= 8
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TokenBucket(rate=0.0, burst=1.0)
-        with pytest.raises(ValueError):
-            RateLimiter(rate=1.0, burst=1.0, max_clients=0)
-
-
-# ---------------------------------------------------------------------------
-# Circuit breaker.
-# ---------------------------------------------------------------------------
 
 class TestCircuitBreaker:
     def make(self, threshold: int = 3, cooldown: float = 10.0):
@@ -289,8 +234,8 @@ class TestCircuitBreaker:
 class TestJobQueue:
     def test_fifo_and_settle(self):
         queue = JobQueue(limit=4)
-        job_a = queue.submit(spec_for("PR_KR"), "alice")
-        job_b = queue.submit(spec_for("Camel", "svr8"), "bob")
+        job_a = queue.submit(spec_for("PR_KR"))
+        job_b = queue.submit(spec_for("Camel", "svr8"))
         assert queue.depth() == 2
         spec = queue.next_cell()
         assert spec.workload == "PR_KR"
@@ -302,8 +247,8 @@ class TestJobQueue:
 
     def test_duplicate_submissions_coalesce(self):
         queue = JobQueue(limit=4)
-        first = queue.submit(spec_for(), "alice")
-        second = queue.submit(spec_for(), "bob")
+        first = queue.submit(spec_for())
+        second = queue.submit(spec_for())
         assert second.coalesced and not first.coalesced
         assert queue.depth() == 1               # one cell, two jobs
         spec = queue.next_cell()
@@ -313,17 +258,17 @@ class TestJobQueue:
 
     def test_queue_full_raises_with_retry_hint(self):
         queue = JobQueue(limit=1, retry_after_s=3.0)
-        queue.submit(spec_for(), "alice")
+        queue.submit(spec_for())
         with pytest.raises(QueueFull) as err:
-            queue.submit(spec_for("Camel", "svr8"), "alice")
+            queue.submit(spec_for("Camel", "svr8"))
         assert err.value.retry_after_s == 3.0
         # Coalescing is exempt from the capacity check.
-        assert queue.submit(spec_for(), "bob").coalesced
+        assert queue.submit(spec_for()).coalesced
 
     def test_requeue_puts_cell_back_at_head(self):
         queue = JobQueue(limit=4)
-        job = queue.submit(spec_for(), "alice")
-        queue.submit(spec_for("Camel", "svr8"), "bob")
+        job = queue.submit(spec_for())
+        queue.submit(spec_for("Camel", "svr8"))
         spec = queue.next_cell()
         queue.requeue(spec.key)
         assert queue.get(job.job_id).state == "queued"
@@ -331,14 +276,14 @@ class TestJobQueue:
 
     def test_terminal_admission(self):
         queue = JobQueue(limit=4)
-        job = queue.admit_terminal(spec_for(), "alice", "ok", cached=True)
+        job = queue.admit_terminal(spec_for(), "ok", cached=True)
         assert job.terminal and job.cached
         assert queue.depth() == 0 and queue.inflight() == 0
 
     def test_done_jobs_are_evicted_beyond_max_done(self):
         queue = JobQueue(limit=64, max_done=4)
-        for i in range(8):
-            queue.admit_terminal(spec_for(), f"client-{i}", "ok")
+        for _ in range(8):
+            queue.admit_terminal(spec_for(), "ok")
         assert len(queue.jobs()) == 4
 
     def test_settle_requires_terminal_state(self):
@@ -429,3 +374,27 @@ class TestBackoffJitter:
     def test_jitter_validation(self):
         with pytest.raises(ValueError, match="backoff_jitter"):
             ExecConfig(backoff_jitter=1.5)
+
+
+# ---------------------------------------------------------------------------
+# `repro serve` flag validation.
+# ---------------------------------------------------------------------------
+
+class TestServeFlags:
+    @pytest.mark.parametrize("flag, value", [
+        ("--timeout", "-5"),
+        ("--breaker-threshold", "0"),
+        ("--breaker-cooldown", "-1"),
+        ("--workers", "0"),
+    ])
+    def test_invalid_flag_is_a_usage_error(self, tmp_path, capsys, flag,
+                                          value):
+        # Fails before start(): no listener, thread or worker is started.
+        code = main(["serve", "--port", "0",
+                     "--store", str(tmp_path / "store"),
+                     "--ledger", str(tmp_path / "ledger.jsonl"),
+                     flag, value])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("serve: ")
+        assert "Traceback" not in err
