@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from repro.analysis.cfg import CFG, Loop
 from repro.analysis.dataflow import ReachingDefinitions
-from repro.isa.instructions import Instruction, Opcode
+from repro.isa.instructions import Opcode
 from repro.svr.chain import LoadClass
 
 # -- symbolic address expressions ------------------------------------------

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.analysis.cfg import CFG, build_cfg
+from repro.analysis.cfg import build_cfg
 from repro.analysis.dataflow import (
     dead_definitions,
     dead_stores,

@@ -181,7 +181,7 @@ class ExecReport:
         self.outcomes = outcomes
         self.by_key = {o.key: o for o in outcomes}
         # Exec-lifecycle spans recorded by the parent process (empty
-        # unless ExecConfig.telemetry enabled spans).
+        # unless ExecConfig.telemetry is set).
         self.parent_spans = parent_spans or []
 
     @property
@@ -619,13 +619,23 @@ class WorkerPool:
     # -- shutdown -----------------------------------------------------
 
     def drain(self, timeout_s: float = 30.0) -> list[Completion]:
-        """Finish in-flight work (bounded), then stop every worker."""
+        """Finish in-flight work (bounded), then stop every worker.  A
+        cell still running when the drain budget runs out is killed as a
+        ``hang`` that names the drain; it is not a wall-clock timeout."""
         deadline = time.monotonic() + timeout_s
         done: list[Completion] = []
         while self.busy_count() and time.monotonic() < deadline:
             done.extend(self.poll(0.2))
-        done.extend(self._expire(w) for w in self._workers
-                    if w.spec is not None)      # still stuck at the deadline
+        for worker in self._workers:
+            if worker.spec is None:
+                continue
+            completion, frame = self._finish(worker)
+            self._retire(worker, "drain deadline", grace_s=0.0)
+            self._failure(completion, HANG,
+                          "killed by the drain: still running after its "
+                          f"{timeout_s:g}s budget "
+                          f"(attempt {completion.attempt})", frame)
+            done.append(completion)
         self.stop()
         return done
 
@@ -676,8 +686,7 @@ class OutcomeSink:
         self.journal = (RunJournal(config.journal, bus=bus)
                         if config.journal else None)
         self.tracer = (SpanTracer()
-                       if config.telemetry is not None
-                       and config.telemetry.spans else None)
+                       if config.telemetry is not None else None)
         self._root = None
 
     def begin_run(self, cells: int) -> None:

@@ -7,13 +7,14 @@ This module is the bridge.  Each worker (or inline attempt) builds a
 :class:`CellCapture` around :func:`repro.exec.spec.execute_spec`:
 
 * a :class:`~repro.obs.spans.SpanTracer` spanning the cell and the
-  simulator phases (``build`` / ``warmup`` / ``measure`` /
-  ``serialize``), plus cycle-clock PRM phase spans bridged off the
-  probe bus;
-* a private :class:`~repro.obs.MetricsRegistry` fed by
-  ``install_standard_metrics`` over the measured window, exported in
-  the *typed* (mergeable) form;
-* a bounded tail of probe-derived Chrome trace events;
+  simulator phases (``build`` / ``warmup`` / ``measure``), plus
+  cycle-clock PRM phase spans bridged off the probe bus;
+* a private :class:`~repro.obs.MetricsRegistry` holding the measured
+  window's counters, read off the simulator's stats objects when the
+  window closes, and its probe-fed histograms, exported in the *typed*
+  (mergeable) form;
+* the last :data:`TRACE_TAIL` probe-derived Chrome trace events of the
+  window, with its wall-clock and cycle bounds to place them by;
 * ``resource.getrusage`` CPU time (delta over the attempt) and max RSS
   sampled at cell exit.
 
@@ -31,7 +32,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from collections import Counter
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -46,6 +47,7 @@ from repro.obs import (
     merge_typed_snapshots,
     spans_to_trace_events,
 )
+from repro.obs.export import TICKS_PER_CYCLE
 
 if TYPE_CHECKING:                      # import cycle: executor imports us
     from repro.exec.executor import CellOutcome
@@ -58,6 +60,11 @@ except ImportError:                    # non-POSIX platform
 
 TELEMETRY_VERSION = 1
 
+# The last this-many probe-derived Chrome events of the measured window
+# ship with each attempt; the rest are counted as dropped.
+TRACE_TAIL = 128
+MAX_SPANS = 2048
+
 # Sim trace events keep their builder tids (1..5); span slices go on a
 # tid far above them so the tracks never collide on a worker's process
 # track in the merged view.
@@ -66,22 +73,10 @@ SPAN_TID = 100
 
 @dataclass(frozen=True)
 class TelemetryConfig:
-    """What each attempt captures.  All knobs picklable (shipped to the
-    worker with its spec)."""
-
-    metrics: bool = True        # per-worker typed MetricsRegistry snapshot
-    spans: bool = True          # lifecycle + sim phase spans
-    rusage: bool = True         # CPU time + max RSS at cell exit
-    trace_tail: int = 128       # last N probe-derived trace events; 0 = off
-    max_spans: int = 2048
-
-    def __post_init__(self) -> None:
-        if self.trace_tail < 0:
-            raise ValueError("TelemetryConfig.trace_tail must be >= 0, "
-                             f"got {self.trace_tail}")
-        if self.max_spans < 1:
-            raise ValueError("TelemetryConfig.max_spans must be >= 1, "
-                             f"got {self.max_spans}")
+    """Capture telemetry for each attempt: ``ExecConfig(telemetry=
+    TelemetryConfig())`` turns it on, ``telemetry=None`` (the default)
+    leaves it off.  What is captured is fixed (see the module docstring);
+    the value is shipped to the worker with its spec."""
 
 
 def _rusage() -> tuple[float, float, int]:
@@ -96,44 +91,53 @@ def _rusage() -> tuple[float, float, int]:
     return usage.ru_utime, usage.ru_stime, int(max_rss)
 
 
+class _TailTrace(ChromeTraceBuilder):
+    """A Chrome trace builder that keeps only the last
+    :data:`TRACE_TAIL` events; ``dropped`` counts the ones pushed out."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.events = deque(maxlen=TRACE_TAIL)     # type: ignore[assignment]
+
+    def _push(self, event: dict[str, Any]) -> None:
+        if len(self.events) == TRACE_TAIL:
+            self.dropped += 1
+        self.events.append(event)
+
+
 class _CaptureObservation(RunObservation):
     """A :class:`RunObservation` that also opens spans around the
-    simulator phases and anchors the measured window on the wall clock
-    (the anchor that lets cycle-time trace events be rebased onto the
-    merged wall timeline)."""
+    simulator phases, keeps the tail of the window's Chrome events, and
+    anchors the measured window on the wall clock and on the simulated
+    clock (the pair that lets cycle-time trace events be rebased onto
+    the merged wall timeline)."""
 
-    def __init__(self, config: TelemetryConfig,
-                 tracer: SpanTracer | None) -> None:
-        super().__init__(metrics=config.metrics)
+    def __init__(self, tracer: SpanTracer) -> None:
+        super().__init__()
         self.tracer = tracer
-        if config.trace_tail > 0:
-            # The builder keeps the head of the stream; the snapshot
-            # slices the tail of what was kept.  The cap bounds worker
-            # memory while leaving room for the tail to be meaningful.
-            self.trace = ChromeTraceBuilder(
-                max_events=max(config.trace_tail * 64, 4096))
+        self.trace = _TailTrace()
         self.measure_wall: dict[str, float] = {}
+        self.measure_cycles: dict[str, float] = {}
         self._bridge: list[Subscription] = []
 
     @contextmanager
     def section(self, name: str):
-        with super().section(name):
-            if self.tracer is None:
-                yield
-            else:
-                with self.tracer.span(name):
-                    yield
+        with super().section(name), self.tracer.span(name):
+            yield
 
-    def begin_measure(self) -> None:
-        super().begin_measure()
+    def begin_measure(self, core: Any) -> None:
+        super().begin_measure(core)
         self.measure_wall["start"] = time.monotonic()
-        if self.tracer is not None:
-            self._bridge = bridge_probe_spans(self.tracer, self.bus)
+        self._bridge = bridge_probe_spans(self.tracer, self.bus)
 
     def end_measure(self) -> None:
+        core = self._core
         super().end_measure()
-        self.measure_wall.setdefault("start", time.monotonic())
+        if core is None:
+            return
         self.measure_wall["end"] = time.monotonic()
+        self.measure_cycles = {"start": core.stats.start_cycle,
+                               "end": core.stats.end_cycle}
         for sub in self._bridge:
             sub.cancel()
         self._bridge = []
@@ -159,37 +163,26 @@ class CellCapture:
         self._cpu0 = (0.0, 0.0)
         if config is None:
             return
-        if config.spans:
-            self.tracer = SpanTracer(max_spans=config.max_spans)
-        if config.metrics or config.trace_tail > 0 or config.spans:
-            self.obs = _CaptureObservation(config, self.tracer)
-        if config.rusage:
-            user, system, _ = _rusage()
-            self._cpu0 = (user, system)
+        self.tracer = SpanTracer(max_spans=MAX_SPANS)
+        self.obs = _CaptureObservation(self.tracer)
+        user, system, _ = _rusage()
+        self._cpu0 = (user, system)
 
     def run(self, progress: Any = None) -> dict[str, Any]:
         from repro.exec.spec import execute_spec
 
         if self.config is None:
             return execute_spec(self.spec, progress=progress)
-        cell = (self.tracer.begin(
-                    "cell", key=self.spec.key, workload=self.spec.workload,
-                    technique=self.spec.technique_name, attempt=self.attempt)
-                if self.tracer is not None else None)
+        cell = self.tracer.begin(
+            "cell", key=self.spec.key, workload=self.spec.workload,
+            technique=self.spec.technique_name, attempt=self.attempt)
         try:
             result = execute_spec(self.spec, obs=self.obs,
                                   progress=progress)
         except BaseException:
-            if cell is not None:
-                self.tracer.end(cell, status="error")
+            self.tracer.end(cell, status="error")
             raise
-        if self.tracer is not None:
-            with self.tracer.span("serialize"):
-                # Measure the JSON-sizing cost of the result dict the
-                # pipe is about to carry; the send itself happens in the
-                # caller, after this span closes.
-                pass
-            self.tracer.end(cell)
+        self.tracer.end(cell)
         return result
 
     def snapshot(self, status: str) -> dict[str, Any] | None:
@@ -203,6 +196,14 @@ class CellCapture:
             return None
 
     def _snapshot(self, status: str) -> dict[str, Any]:
+        user, system, max_rss = _rusage()
+        cpu_user = round(user - self._cpu0[0], 6)
+        cpu_system = round(system - self._cpu0[1], 6)
+        # Close anything a mid-measure exception left dangling so the
+        # span tree ships complete.
+        while self.tracer.current is not None:
+            self.tracer.end(status="error")
+        obs = self.obs
         payload: dict[str, Any] = {
             "v": TELEMETRY_VERSION,
             "pid": os.getpid(),
@@ -211,33 +212,21 @@ class CellCapture:
             "workload": self.spec.workload,
             "technique": self.spec.technique_name,
             "attempt": self.attempt,
+            "cpu_user_s": cpu_user,
+            "cpu_system_s": cpu_system,
+            "cpu_s": round(cpu_user + cpu_system, 6),
+            "max_rss_kib": max_rss,
+            "spans": self.tracer.export(),
+            "spans_dropped": self.tracer.dropped,
+            "metrics": obs.registry.typed_snapshot(),
+            "trace_events": list(obs.trace.events),
+            "trace_dropped": obs.trace.dropped,
+            "profile": obs.profile.snapshot(),
         }
-        if self.config.rusage:
-            user, system, max_rss = _rusage()
-            payload["cpu_user_s"] = round(user - self._cpu0[0], 6)
-            payload["cpu_system_s"] = round(system - self._cpu0[1], 6)
-            payload["cpu_s"] = round(payload["cpu_user_s"]
-                                     + payload["cpu_system_s"], 6)
-            payload["max_rss_kib"] = max_rss
-        if self.tracer is not None:
-            # Close anything a mid-measure exception left dangling so the
-            # span tree ships complete.
-            while self.tracer.current is not None:
-                self.tracer.end(status="error")
-            payload["spans"] = self.tracer.export()
-            payload["spans_dropped"] = self.tracer.dropped
-        if self.obs is not None:
-            if self.obs.registry is not None:
-                payload["metrics"] = self.obs.registry.typed_snapshot()
-            if self.obs.trace is not None:
-                tail = self.obs.trace.events[-self.config.trace_tail:]
-                payload["trace_events"] = tail
-                payload["trace_dropped"] = (
-                    self.obs.trace.dropped
-                    + len(self.obs.trace.events) - len(tail))
-            if self.obs.measure_wall:
-                payload["measure_wall"] = dict(self.obs.measure_wall)
-            payload["profile"] = self.obs.profile.snapshot()
+        if obs.measure_wall:
+            payload["measure_wall"] = dict(obs.measure_wall)
+        if obs.measure_cycles:
+            payload["measure_cycles"] = dict(obs.measure_cycles)
         return payload
 
 
@@ -275,29 +264,25 @@ def resource_summary(outcomes: "list[CellOutcome]") -> dict[str, Any]:
 
 def _rebase_sim_events(events: list[dict[str, Any]],
                        measure_wall: dict[str, float],
+                       measure_cycles: dict[str, float],
                        ) -> list[dict[str, Any]]:
-    """Map cycle-time trace events affinely onto the wall-clock measure
-    window they were recorded in, so a worker's sim-side tail renders
-    inside its ``measure`` span on the merged timeline."""
-    if not events or "start" not in measure_wall:
+    """Map cycle-time trace events affinely from the measured window's
+    cycle range onto its wall-clock range, so a worker's sim-side tail
+    renders inside its ``measure`` span on the merged timeline, each
+    event at the same fraction of the span as its cycle is of the
+    window."""
+    if not events or not measure_cycles:
         return []
-    times = [ev["ts"] for ev in events
-             if isinstance(ev.get("ts"), (int, float))]
-    ends = [ev["ts"] + ev.get("dur", 0.0) for ev in events
-            if isinstance(ev.get("ts"), (int, float))]
-    if not times:
-        return []
-    t_lo, t_hi = min(times), max(max(ends), min(times))
     wall_lo = measure_wall["start"] * 1e6
-    wall_hi = measure_wall.get("end", measure_wall["start"]) * 1e6
-    span = max(wall_hi - wall_lo, 1.0)
-    scale = span / max(t_hi - t_lo, 1.0)
+    cycle_lo = measure_cycles["start"] * TICKS_PER_CYCLE
+    scale = (max(measure_wall["end"] * 1e6 - wall_lo, 1.0)
+             / max(measure_cycles["end"] * TICKS_PER_CYCLE - cycle_lo, 1.0))
     out = []
     for ev in events:
         if not isinstance(ev.get("ts"), (int, float)):
             continue
         ev = dict(ev)
-        ev["ts"] = wall_lo + (ev["ts"] - t_lo) * scale
+        ev["ts"] = wall_lo + (ev["ts"] - cycle_lo) * scale
         if isinstance(ev.get("dur"), (int, float)):
             ev["dur"] = max(ev["dur"] * scale, 0.01)
         out.append(ev)
@@ -326,6 +311,7 @@ def build_exec_trace(outcomes: "list[CellOutcome]",
         events = spans_to_trace_events(telemetry.get("spans") or [],
                                        pid=pid, tid=SPAN_TID)
         events += _rebase_sim_events(telemetry.get("trace_events") or [],
-                                     telemetry.get("measure_wall") or {})
+                                     telemetry.get("measure_wall") or {},
+                                     telemetry.get("measure_cycles") or {})
         processes.append({"pid": pid, "label": label, "events": events})
     return build_multiprocess_trace(processes)

@@ -19,7 +19,7 @@ from repro.cores.inorder import InOrderCore
 from repro.cores.ooo import OutOfOrderCore
 from repro.energy.model import EnergyBreakdown, EnergyModel
 from repro.memory.hierarchy import HierarchyStats, MemoryConfig, MemoryHierarchy
-from repro.svr.config import LoopBoundPolicy, SVRConfig
+from repro.svr.config import SVRConfig
 from repro.svr.unit import ScalarVectorUnit, SvrStats
 from repro.svr.vr import VectorRunaheadUnit, VrStats
 from repro.workloads.base import Workload
@@ -225,8 +225,10 @@ def run(workload: str | Workload, tech: TechniqueConfig | str,
     Pass a :class:`repro.obs.RunObservation` as *obs* to instrument the
     run: components emit on the observation's private probe bus, metric /
     trace collectors attach when the measured window starts (warmup stays
-    unobserved, matching the stats), and the observation's JSONL record /
-    Chrome trace are finalised before returning.
+    unobserved, matching the stats), the window's counters are read off
+    the stats objects when it closes (normally or by an exception), and
+    the observation's JSONL record / Chrome trace are finalised before
+    returning.
 
     Pass a :class:`repro.obs.ProgressReporter` as *progress* to stream
     in-flight frames (cycle, instructions, IPC-so-far, phase, episode
@@ -293,12 +295,16 @@ def run(workload: str | Workload, tech: TechniqueConfig | str,
         if vr_unit is not None:
             vr_unit.reset_stats()
         if obs is not None:
-            obs.begin_measure()
-        with _section("measure"):
-            if progress is not None:
-                progress.set_phase("measure")
-                progress.sample(core, force=True)
-            core.run(measure, progress)
+            obs.begin_measure(core)
+        try:
+            with _section("measure"):
+                if progress is not None:
+                    progress.set_phase("measure")
+                    progress.sample(core, force=True)
+                core.run(measure, progress)
+        finally:
+            if obs is not None:
+                obs.end_measure()
     except SimulationError as exc:
         if exc.workload is None:
             exc.workload = workload.name
@@ -347,7 +353,6 @@ def run(workload: str | Workload, tech: TechniqueConfig | str,
         svr_accuracy=hstats.accuracy("svr") if svr_unit is not None else None,
     )
     if obs is not None:
-        obs.end_measure()
         obs.finalize(
             {"workload": workload.name, "technique": tech.name,
              "scale": scale, "warmup": warmup, "measure": measure,

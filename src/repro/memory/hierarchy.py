@@ -10,7 +10,7 @@ same line observe (miss merging / hit-under-fill).
 Prefetch-tag bookkeeping for the accuracy metric of Fig 13a lives here: a
 line brought in by any prefetcher is *useful* on its first demand touch and
 *useless* if the L2 evicts it untouched.  A listener (SVR's accuracy
-monitor) can subscribe to these events.
+monitor) is told of each.
 """
 
 from __future__ import annotations
@@ -143,10 +143,6 @@ class MemoryHierarchy:
         self.memory = memory
         self.bus = bus if bus is not None else default_bus()
         self._p_load = self.bus.probe("mem.load")
-        self._p_store = self.bus.probe("mem.store")
-        self._p_prefetch = self.bus.probe("mem.prefetch")
-        self._p_useful = self.bus.probe("mem.pf_useful")
-        self._p_useless = self.bus.probe("mem.pf_useless")
         self.l1 = Cache("L1-D", cfg.l1_size, cfg.l1_assoc, cfg.line_bytes)
         self.l2 = Cache("L2", cfg.l2_size, cfg.l2_assoc, cfg.line_bytes)
         self.mshrs = MshrPool(cfg.l1_mshrs)
@@ -191,6 +187,7 @@ class MemoryHierarchy:
         self.l1.reset_stats()
         self.l2.reset_stats()
         self.dram.reset_stats()
+        self.tlb.walks = 0
 
     # -- internals ------------------------------------------------------------
 
@@ -202,8 +199,6 @@ class MemoryHierarchy:
         if origin is not None:
             self.stats.prefetch_useful[origin] += 1
             outcome.prefetch_hit = True
-            if self._p_useful.enabled:
-                self._p_useful.emit(origin=origin, line=line)
             if self.accuracy_listener is not None:
                 self.accuracy_listener.on_useful(origin)
 
@@ -214,8 +209,6 @@ class MemoryHierarchy:
         origin = self._pf_outstanding.pop(victim_line, None)
         if origin is not None:
             self.stats.prefetch_useless[origin] += 1
-            if self._p_useless.enabled:
-                self._p_useless.emit(origin=origin, line=victim_line)
             if self.accuracy_listener is not None:
                 self.accuracy_listener.on_useless(origin)
 
@@ -355,11 +348,6 @@ class MemoryHierarchy:
         outcome = self._access(addr, time, pc, is_store=True,
                                prefetched=False, origin="", drop_on_full=False)
         assert outcome is not None
-        if self._p_store.enabled:
-            self._p_store.emit(addr=addr, pc=pc, time=time,
-                               level=outcome.level,
-                               completion=outcome.completion,
-                               latency=outcome.completion - time)
         return outcome
 
     def prefetch(self, addr: int, time: float, origin: str,
@@ -375,9 +363,4 @@ class MemoryHierarchy:
         self.stats.prefetches_issued[origin] += 1
         outcome = self._access(addr, time, 0, is_store=False, prefetched=True,
                                origin=origin, drop_on_full=drop_on_full)
-        if self._p_prefetch.enabled:
-            self._p_prefetch.emit(
-                addr=addr, origin=origin, time=time,
-                dropped=outcome is None,
-                completion=None if outcome is None else outcome.completion)
         return None if outcome is None else outcome.completion

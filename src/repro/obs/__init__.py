@@ -5,8 +5,9 @@ The five pieces (design rationale in ``docs/observability.md``):
 * :mod:`repro.obs.probes`  — named probe points with near-zero-cost no-op
   dispatch when nothing subscribes;
 * :mod:`repro.obs.metrics` — hierarchical counters / gauges / log2
-  histograms that subscribe to probes and snapshot to plain dicts,
-  with typed snapshots that merge deterministically across processes;
+  histograms that snapshot to plain dicts, with typed snapshots that
+  merge deterministically across processes; a run's counters are read
+  off the simulator's stats objects, its histograms fed by probes;
 * :mod:`repro.obs.spans`   — hierarchical span tracing of the execution
   lifecycle, the telemetry that survives the worker process boundary;
 * :mod:`repro.obs.runlog`  — JSONL run records plus a wall-clock
@@ -34,8 +35,10 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     MetricsRegistry,
+    install_exec_metrics,
     install_standard_metrics,
     merge_typed_snapshots,
+    read_stats_counters,
     typed_to_plain,
 )
 from repro.obs.probes import Probe, ProbeBus, Subscription, default_bus
@@ -79,6 +82,7 @@ __all__ = [
     "bridge_probe_spans",
     "build_multiprocess_trace",
     "default_bus",
+    "install_exec_metrics",
     "install_standard_metrics",
     "make_record",
     "merge_typed_snapshots",
@@ -95,54 +99,59 @@ class RunObservation:
 
     Create one, pass it to :func:`repro.harness.runner.run` via ``obs=``;
     the runner wires its private probe bus into every component, attaches
-    the collectors when the *measured* window starts (warmup stays
-    unobserved, matching the stats windows), and finalises outputs when
-    the run ends.  After the run::
+    the event collectors when the *measured* window starts (warmup stays
+    unobserved, matching the stats windows), reads the window's counters
+    off the simulator's stats objects when it closes, and finalises
+    outputs when the run ends.  After the run::
 
         obs.metrics_snapshot()   # deterministic metric dict
         obs.record               # the JSONL record that was (or would be)
                                  # appended
     """
 
-    def __init__(self, *, metrics: bool = True,
-                 chrome_trace: str | None = None,
-                 jsonl: str | None = None,
-                 include_commits: bool = False) -> None:
+    def __init__(self, *, chrome_trace: str | None = None,
+                 jsonl: str | None = None) -> None:
         self.bus = ProbeBus()
-        self.registry = MetricsRegistry() if metrics else None
+        self.registry = MetricsRegistry()
         self.chrome_trace_path = chrome_trace
-        self.trace = (ChromeTraceBuilder(include_commits=include_commits)
+        self.trace = (ChromeTraceBuilder()
                       if chrome_trace is not None else None)
         self.jsonl_path = jsonl
         self.profile = SelfProfile()
         self.record: dict[str, Any] | None = None
         self._subs: list[Subscription] = []
-        self._attached = False
+        self._core: Any = None
 
     def section(self, name: str):
         """Wall-clock profiling context for one simulator phase."""
         return self.profile.section(name)
 
-    def begin_measure(self) -> None:
-        """Attach collectors; called by the runner after warmup."""
-        if self._attached:
+    def begin_measure(self, core: Any) -> None:
+        """Open the measured window of *core* (called by the runner after
+        warmup, once the stats objects are reset): attach the event
+        collectors."""
+        if self._core is not None:
             return
-        self._attached = True
-        if self.registry is not None:
-            self._subs = install_standard_metrics(self.bus, self.registry)
+        self._core = core
+        self._subs = install_standard_metrics(self.bus, self.registry)
         if self.trace is not None:
             self.trace.attach(self.bus)
 
     def end_measure(self) -> None:
+        """Close the window, also when it ends in an exception: read its
+        counters off the stats objects and detach the collectors."""
+        if self._core is None:
+            return
+        read_stats_counters(self.registry, self._core)
+        self._core = None
         for sub in self._subs:
             sub.cancel()
         self._subs = []
         if self.trace is not None:
             self.trace.detach()
-        self._attached = False
 
     def metrics_snapshot(self) -> dict[str, Any]:
-        return self.registry.snapshot() if self.registry is not None else {}
+        return self.registry.snapshot()
 
     def finalize(self, context: dict[str, Any],
                  result: Any = None) -> dict[str, Any]:

@@ -16,13 +16,10 @@ Mapping
 * ``mem.load`` at DRAM level             → complete slices on the
   *memory* track (demand misses, the thing SVR exists to overlap);
 * ``svr.svi``                            → instant events (``ph: "i"``)
-  marking where transient lanes are generated;
-* ``core.commit`` (off by default)       → per-instruction slices on the
-  *core* track, for microscopic single-loop views.
+  marking where transient lanes are generated.
 
-Unlike the ASCII renderer in :mod:`repro.harness.trace` (now a thin
-consumer of the same bus), this works for every core model and every
-component that emits probes.
+Per-instruction views come from ``repro trace``
+(:mod:`repro.harness.trace`), the one subscriber of ``core.commit``.
 """
 
 from __future__ import annotations
@@ -49,11 +46,7 @@ _TRACKS = {
 class ChromeTraceBuilder:
     """Collects trace events from a probe bus; writes trace-event JSON."""
 
-    def __init__(self, *, include_memory: bool = True,
-                 include_commits: bool = False,
-                 max_events: int = 500_000) -> None:
-        self.include_memory = include_memory
-        self.include_commits = include_commits
+    def __init__(self, *, max_events: int = 500_000) -> None:
         self.max_events = max_events
         self.events: list[dict[str, Any]] = []
         self.dropped = 0
@@ -81,11 +74,8 @@ class ChromeTraceBuilder:
             "svr.prm_exit": self._on_prm_exit,
             "dram.access": self._on_dram,
             "svr.svi": self._on_svi,
+            "mem.load": self._on_load,
         }
-        if self.include_memory:
-            wiring["mem.load"] = self._on_load
-        if self.include_commits:
-            wiring["core.commit"] = self._on_commit
         self._subs = [bus.subscribe(name, fn)
                       for name, fn in wiring.items()]
 
@@ -143,15 +133,6 @@ class ChromeTraceBuilder:
                     "ph": "i", "s": "t", "ts": ts,
                     "pid": _PID, "tid": _TRACKS["svr"],
                     "args": {"lanes": ev["lanes"], "pc": ev.get("pc")}})
-
-    def _on_commit(self, _name: str, ev: dict) -> None:
-        ts = ev["issue"] * TICKS_PER_CYCLE
-        end = ev["completion"] * TICKS_PER_CYCLE
-        self._note_ts(end)
-        self._push({"name": ev["op"], "cat": "core", "ph": "X",
-                    "ts": ts, "dur": max(end - ts, 0.01),
-                    "pid": _PID, "tid": _TRACKS["core"],
-                    "args": {"pc": ev["pc"], "level": ev.get("level")}})
 
     # -- output -------------------------------------------------------------
 

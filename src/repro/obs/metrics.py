@@ -6,10 +6,14 @@ group naturally.  Histograms bucket by powers of two, which suits the
 quantities this simulator cares about (load latencies spanning 2..200
 cycles, vector lengths 1..128) and keeps snapshots small and deterministic.
 
-``install_standard_metrics`` subscribes a canonical metric set to the
-probe catalogue — attach it to a :class:`~repro.obs.probes.ProbeBus` and
-every run gets CPI-stack-adjacent counters, prefetch accounting and
-latency/vector-length distributions for free.
+A run's counters come from one place, the stats objects the simulator
+keeps anyway (``CoreStats``, ``HierarchyStats``, ``SvrStats``):
+:func:`read_stats_counters` reads them under their metric names when the
+measured window closes.  Probes feed only what needs the events
+themselves: :func:`install_standard_metrics` subscribes the latency,
+queue-wait, walk, PRM and vector-length histograms plus the few counters
+no stats object keeps, and :func:`install_exec_metrics` the execution
+layer's cell, failure, retry and timeout counters.
 """
 
 from __future__ import annotations
@@ -283,97 +287,96 @@ def typed_to_plain(typed: dict[str, dict[str, Any]]) -> dict[str, Any]:
     return out
 
 
+def read_stats_counters(registry: MetricsRegistry, core: Any) -> None:
+    """Add the counters of *core*'s measured window to *registry*, read
+    off the stats objects the simulator already keeps: the core's, its
+    memory hierarchy's (with the DRAM and TLB counts) and, on an SVR
+    core, the SVR unit's.  Call once, when the window closes.
+
+    A fixed name is always written; a per-level, per-origin or per-cause
+    name only once its count is nonzero, as it would first appear from
+    an event.
+    """
+    counter = registry.counter
+    hierarchy = core.hierarchy
+    hstats = hierarchy.stats
+    svr = getattr(core, "svr", None)
+    sstats = svr.stats if svr is not None else None
+    fixed = {
+        "core.instructions": core.stats.instructions,
+        "mem.loads": hstats.loads,
+        "mem.stores": hstats.stores,
+        "dram.accesses": hierarchy.dram.accesses,
+        "tlb.walks": hierarchy.tlb.walks,
+        "svr.prm.rounds": sstats.prm_rounds if sstats else 0,
+        "svr.svi.lanes": sstats.svi_lanes if sstats else 0,
+        "svr.waiting_skips": sstats.waiting_skips if sstats else 0,
+        "svr.gate_blocks": sstats.rounds_blocked_by_monitor if sstats else 0,
+        "svr.accuracy_bans": svr.monitor.bans if svr is not None else 0,
+    }
+    for name, value in fixed.items():
+        counter(name).inc(value)
+    counts = {
+        "mem.loads.l1": hstats.l1_load_hits,
+        "mem.loads.l2": hstats.l2_load_hits,
+        "mem.loads.dram": hstats.dram_loads,
+    }
+    for outcome, per_origin in (("issued", hstats.prefetches_issued),
+                                ("dropped", hstats.prefetches_dropped),
+                                ("useful", hstats.prefetch_useful),
+                                ("useless", hstats.prefetch_useless)):
+        for origin, value in per_origin.items():
+            counts[f"mem.prefetch.{origin}.{outcome}"] = value
+    if sstats is not None:
+        for cause, value in sstats.terminations.items():
+            counts[f"svr.prm.terminations.{cause}"] = value
+    for name, value in counts.items():
+        if value:
+            counter(name).inc(value)
+
+
 def install_standard_metrics(bus: ProbeBus,
                              registry: MetricsRegistry) -> list[Subscription]:
-    """Subscribe the canonical metric set to *bus*; returns the
-    subscriptions so a caller can detach them when its window closes."""
+    """Subscribe the simulator's event metrics to *bus*: the histograms,
+    and the counters no stats object keeps.  Returns the subscriptions so
+    a caller can detach them when its window closes."""
     counter = registry.counter
     histogram = registry.histogram
 
-    instructions = counter("core.instructions")
     window_stalls = counter("core.window_stalls")
     window_stall_hist = histogram("core.window_stall.cycles")
-    loads = counter("mem.loads")
-    stores = counter("mem.stores")
     load_latency = histogram("mem.load.latency")
-    dram_accesses = counter("dram.accesses")
     dram_wait = histogram("dram.queue_wait")
-    tlb_walks = counter("tlb.walks")
     tlb_walk_latency = histogram("tlb.walk.latency")
-    prm_rounds = counter("svr.prm.rounds")
     vector_length = histogram("svr.prm.vector_length")
     prm_duration = histogram("svr.prm.duration_cycles")
-    svi_lanes = counter("svr.svi.lanes")
     svi_group = histogram("svr.svi.group_lanes")
-    waiting_skips = counter("svr.waiting_skips")
-    gate_blocks = counter("svr.gate_blocks")
-    accuracy_bans = counter("svr.accuracy_bans")
     run_length = histogram("predictor.stride.run_length")
     lb_decisions = counter("predictor.loop_bound.decisions")
     lb_length = histogram("predictor.loop_bound.length")
-    exec_cells = counter("exec.cells")
-    exec_cell_elapsed = histogram("exec.cell.elapsed_s")
-    exec_failures = counter("exec.failures")
-    exec_retries = counter("exec.retries")
-    exec_timeouts = counter("exec.timeouts")
-    journal_skips = counter("exec.journal_skipped_records")
     watchdog_trips = counter("core.watchdog_trips")
-
-    def on_commit(_name: str, _ev: dict) -> None:
-        instructions.inc()
 
     def on_window_stall(_name: str, ev: dict) -> None:
         window_stalls.inc()
         window_stall_hist.observe(ev["cycles"])
 
     def on_load(_name: str, ev: dict) -> None:
-        loads.inc()
-        counter("mem.loads." + ev["level"]).inc()
         load_latency.observe(ev["latency"])
 
-    def on_store(_name: str, _ev: dict) -> None:
-        stores.inc()
-
-    def on_prefetch(_name: str, ev: dict) -> None:
-        origin = ev["origin"]
-        counter(f"mem.prefetch.{origin}.issued").inc()
-        if ev["dropped"]:
-            counter(f"mem.prefetch.{origin}.dropped").inc()
-
-    def on_pf_useful(_name: str, ev: dict) -> None:
-        counter(f"mem.prefetch.{ev['origin']}.useful").inc()
-
-    def on_pf_useless(_name: str, ev: dict) -> None:
-        counter(f"mem.prefetch.{ev['origin']}.useless").inc()
-
     def on_dram(_name: str, ev: dict) -> None:
-        dram_accesses.inc()
         dram_wait.observe(ev["start"] - ev["time"])
 
     def on_tlb_walk(_name: str, ev: dict) -> None:
-        tlb_walks.inc()
         tlb_walk_latency.observe(ev["completion"] - ev["time"])
 
     def on_prm_enter(_name: str, ev: dict) -> None:
-        prm_rounds.inc()
         vector_length.observe(ev["length"])
 
     def on_prm_exit(_name: str, ev: dict) -> None:
-        counter(f"svr.prm.terminations.{ev['cause']}").inc()
         prm_duration.observe(ev["duration"])
 
     def on_svi(_name: str, ev: dict) -> None:
-        svi_lanes.inc(ev["lanes"])
         svi_group.observe(ev["lanes"])
-
-    def on_waiting(_name: str, _ev: dict) -> None:
-        waiting_skips.inc()
-
-    def on_gate(_name: str, _ev: dict) -> None:
-        gate_blocks.inc()
-
-    def on_ban(_name: str, _ev: dict) -> None:
-        accuracy_bans.inc()
 
     def on_stride_run(_name: str, ev: dict) -> None:
         run_length.observe(ev["run_length"])
@@ -382,6 +385,38 @@ def install_standard_metrics(bus: ProbeBus,
         lb_decisions.inc()
         lb_length.observe(ev["length"])
         counter(f"predictor.loop_bound.policy.{ev['policy']}").inc()
+
+    def on_watchdog(_name: str, ev: dict) -> None:
+        watchdog_trips.inc()
+        counter(f"core.watchdog_trips.{ev['kind']}").inc()
+
+    wiring = {
+        "core.window_stall": on_window_stall,
+        "mem.load": on_load,
+        "dram.access": on_dram,
+        "tlb.walk": on_tlb_walk,
+        "svr.prm_enter": on_prm_enter,
+        "svr.prm_exit": on_prm_exit,
+        "svr.svi": on_svi,
+        "predictor.stride_run": on_stride_run,
+        "predictor.loop_bound": on_loop_bound,
+        "core.watchdog": on_watchdog,
+    }
+    return [bus.subscribe(name, fn) for name, fn in wiring.items()]
+
+
+def install_exec_metrics(bus: ProbeBus,
+                         registry: MetricsRegistry) -> list[Subscription]:
+    """Subscribe the execution layer's counters (cells, failures,
+    retries, wall-clock kills, skipped journal records) to *bus*, the
+    bus a :class:`repro.exec.ExecConfig` or ``repro serve`` reports on."""
+    counter = registry.counter
+    exec_cells = counter("exec.cells")
+    exec_cell_elapsed = registry.histogram("exec.cell.elapsed_s")
+    exec_failures = counter("exec.failures")
+    exec_retries = counter("exec.retries")
+    exec_timeouts = counter("exec.timeouts")
+    journal_skips = counter("exec.journal_skipped_records")
 
     def on_exec_cell(_name: str, ev: dict) -> None:
         exec_cells.inc()
@@ -403,33 +438,11 @@ def install_standard_metrics(bus: ProbeBus,
     def on_journal_skip(_name: str, _ev: dict) -> None:
         journal_skips.inc()
 
-    def on_watchdog(_name: str, ev: dict) -> None:
-        watchdog_trips.inc()
-        counter(f"core.watchdog_trips.{ev['kind']}").inc()
-
     wiring = {
-        "core.commit": on_commit,
-        "core.window_stall": on_window_stall,
-        "mem.load": on_load,
-        "mem.store": on_store,
-        "mem.prefetch": on_prefetch,
-        "mem.pf_useful": on_pf_useful,
-        "mem.pf_useless": on_pf_useless,
-        "dram.access": on_dram,
-        "tlb.walk": on_tlb_walk,
-        "svr.prm_enter": on_prm_enter,
-        "svr.prm_exit": on_prm_exit,
-        "svr.svi": on_svi,
-        "svr.waiting": on_waiting,
-        "svr.gate_block": on_gate,
-        "svr.accuracy_ban": on_ban,
-        "predictor.stride_run": on_stride_run,
-        "predictor.loop_bound": on_loop_bound,
         "exec.cell": on_exec_cell,
         "exec.failure": on_exec_failure,
         "exec.retry": on_exec_retry,
         "exec.timeout": on_exec_timeout,
         "exec.journal.skip": on_journal_skip,
-        "core.watchdog": on_watchdog,
     }
     return [bus.subscribe(name, fn) for name, fn in wiring.items()]

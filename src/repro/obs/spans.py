@@ -5,7 +5,7 @@ cross-process telemetry pipeline (``docs/observability.md``) is built
 from.  The executor opens spans around its own lifecycle
 (``run_cells`` → ``attempt`` and each worker's ``spawn`` / ``reap``),
 each cell opens spans around the simulator phases (``build`` / ``warmup`` /
-``measure`` / ``serialize``), and the sim-side probe bus is bridged into
+``measure``), and the sim-side probe bus is bridged into
 cycle-clock phase spans (one per PRM episode) — so a whole ``--jobs N``
 sweep reconstructs as one tree that survives the process boundary.
 

@@ -57,7 +57,7 @@ from repro.exec.faults import FaultPlan
 from repro.exec.spec import RunSpec
 from repro.obs.metrics import (
     MetricsRegistry,
-    install_standard_metrics,
+    install_exec_metrics,
     prometheus_exposition,
 )
 from repro.obs.probes import ProbeBus
@@ -210,7 +210,7 @@ class ReproServer:
         config = self.config
         self.bus = ProbeBus()
         self.registry = MetricsRegistry()
-        install_standard_metrics(self.bus, self.registry)
+        install_exec_metrics(self.bus, self.registry)
         install_serve_metrics(self.bus, self.registry)
         # serve.* probes fire from HTTP threads and the scheduler alike;
         # one lock serialises their emission.  The sink's exec.* probes

@@ -26,8 +26,6 @@ class AccuracyMonitor:
         self.banned = False
         self.bans = 0
         self._instructions_since_reset = 0
-        # Optional obs probe ("svr.accuracy_ban"), wired by the owner.
-        self.probe = None
 
     # -- hierarchy listener interface ----------------------------------------
 
@@ -52,8 +50,6 @@ class AccuracyMonitor:
         if self.useful / events < self.threshold:
             self.banned = True
             self.bans += 1
-            if self.probe is not None and self.probe.enabled:
-                self.probe.emit(accuracy=self.useful / events, events=events)
 
     def allow_trigger(self) -> bool:
         return not self.banned

@@ -11,7 +11,7 @@ per-stride-PC counters here and the per-loop compare state in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(slots=True)

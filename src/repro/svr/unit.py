@@ -64,6 +64,7 @@ class SvrStats:
         default_factory=lambda: {"hslr": 0, "timeout": 0, "retarget": 0})
     rounds_skipped_zero_length: int = 0
     rounds_blocked_by_monitor: int = 0
+    waiting_skips: int = 0        # striding loads inside the waiting range
     table_accesses: int = 0
 
     @property
@@ -81,8 +82,6 @@ class ScalarVectorUnit:
         self._p_enter = self.bus.probe("svr.prm_enter")
         self._p_exit = self.bus.probe("svr.prm_exit")
         self._p_svi = self.bus.probe("svr.svi")
-        self._p_wait = self.bus.probe("svr.waiting")
-        self._p_gate = self.bus.probe("svr.gate_block")
         self.detector = StrideDetector(cfg.stride_detector_entries,
                                        cfg.stride_confidence_threshold,
                                        cfg.ewma_cap)
@@ -96,7 +95,6 @@ class ScalarVectorUnit:
                                        cfg.accuracy_warmup_events,
                                        cfg.accuracy_reset_interval,
                                        cfg.accuracy_enabled)
-        self.monitor.probe = self.bus.probe("svr.accuracy_ban")
         self.chain_log = ChainRecorder()
         self.stats = SvrStats()
         # Opt-in dynamic oracle (repro.analysis.oracle.OracleRecorder).
@@ -138,6 +136,7 @@ class ScalarVectorUnit:
 
     def reset_stats(self) -> None:
         self.stats = SvrStats()
+        self.monitor.bans = 0
 
     @property
     def state_kib(self) -> float:
@@ -204,8 +203,8 @@ class ScalarVectorUnit:
             self.loop_bound.on_loop_reentry(pc)
         if not obs.is_striding:
             return False
-        if obs.in_waiting_range and self._p_wait.enabled:
-            self._p_wait.emit(pc=pc, time=issue_time, addr=result.address)
+        if obs.in_waiting_range:
+            self.stats.waiting_skips += 1
 
         if self.in_prm:
             if pc == self.hslr_pc:
@@ -262,8 +261,6 @@ class ScalarVectorUnit:
     def _may_trigger(self) -> bool:
         if not self.monitor.allow_trigger():
             self.stats.rounds_blocked_by_monitor += 1
-            if self._p_gate.enabled:
-                self._p_gate.emit(accuracy=self.monitor.accuracy)
             return False
         return True
 

@@ -24,7 +24,7 @@ from repro.exec import (
     run_cells,
 )
 from repro.harness.runner import run, technique
-from repro.obs.metrics import MetricsRegistry, install_standard_metrics
+from repro.obs.metrics import MetricsRegistry, install_exec_metrics
 from repro.obs.probes import ProbeBus
 
 
@@ -261,6 +261,26 @@ class TestIsolatedExecution:
         assert report.ok_count == 1
 
 
+class TestWorkerPoolDrain:
+    @pytest.mark.parametrize("timeout_s", [30.0, None],
+                             ids=["fenced", "unfenced"])
+    def test_drain_kill_is_not_a_timeout(self, timeout_s):
+        """A cell still running when the drain budget runs out is killed
+        as a hang that names the drain, with or without a wall-clock
+        fence, and is not counted as a wall-clock timeout."""
+        from repro.exec.executor import WorkerPool
+
+        plan = FaultPlan(specs=(parse_fault("Camel/*:hang:99"),))
+        pool = WorkerPool(1, timeout_s=timeout_s, faults=plan)
+        pool.dispatch(_spec(), 1)
+        (completion,) = pool.drain(timeout_s=0.5)
+        assert completion.failure.kind == HANG
+        assert "drain" in completion.failure.message
+        assert "wall-clock" not in completion.failure.message
+        assert completion.timed_out is False
+        assert pool.busy_count() == 0 and pool.idle_count() == 0
+
+
 def _pids(report, specs):
     return [report.outcome_for(spec).telemetry["pid"] for spec in specs
             if report.outcome_for(spec).telemetry is not None]
@@ -355,7 +375,7 @@ class TestObservability:
     def test_probes_and_metrics(self):
         bus = ProbeBus()
         registry = MetricsRegistry()
-        install_standard_metrics(bus, registry)
+        install_exec_metrics(bus, registry)
         plan = FaultPlan(specs=(FaultSpec(workload="Camel",
                                           technique="svr16"),))
         specs = [_spec(tech="svr16"), _spec(workload="HJ2", tech="svr16")]

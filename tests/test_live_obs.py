@@ -34,13 +34,12 @@ from repro.obs.progress import (
     ProgressReporter,
     advancing,
 )
-from repro.serve import EventBroker, Job, JobQueue, MetricsRing
+from repro.serve import EventBroker, JobQueue, MetricsRing
 from repro.serve.queue import RUNNING
 from repro.serve.top import (
     frame_eta_s,
     frame_fraction,
     progress_bar,
-    render_journal_view,
     render_server_view,
     run_top,
     sparkline,

@@ -14,6 +14,7 @@ from repro.obs import (
     RunLog,
     RunObservation,
     SelfProfile,
+    install_exec_metrics,
     install_standard_metrics,
     make_record,
     validate_trace,
@@ -177,6 +178,8 @@ class TestMetricsRegistry:
 
 class TestStandardMetrics:
     def test_wiring_from_synthetic_events(self):
+        """Events feed the histograms; the counters a stats object keeps
+        are read off it at window close, never counted from events."""
         bus = ProbeBus()
         reg = MetricsRegistry()
         subs = install_standard_metrics(bus, reg)
@@ -190,22 +193,23 @@ class TestStandardMetrics:
                                        duration=30.0, instructions=10, pc=4)
         bus.probe("svr.svi").emit(pc=4, time=12.0, lanes=16)
         snap = reg.snapshot()
-        assert snap["core.instructions"] == 1
-        assert snap["mem.loads"] == 1
-        assert snap["mem.loads.dram"] == 1
         assert snap["mem.load.latency"]["buckets"] == {"[64,128)": 1}
-        assert snap["svr.prm.rounds"] == 1
         assert snap["svr.prm.vector_length"]["buckets"] == {"[16,32)": 1}
-        assert snap["svr.prm.terminations.hslr"] == 1
-        assert snap["svr.svi.lanes"] == 16
+        assert snap["svr.prm.duration_cycles"]["buckets"] == {"[16,32)": 1}
+        assert snap["svr.svi.group_lanes"]["buckets"] == {"[16,32)": 1}
+        for name in ("core.instructions", "mem.loads", "mem.loads.dram",
+                     "svr.prm.rounds", "svr.prm.terminations.hslr",
+                     "svr.svi.lanes"):
+            assert name not in snap
+        assert not bus.probe("core.commit").enabled
         for sub in subs:
             sub.cancel()
-        assert not bus.probe("core.commit").enabled
+        assert not bus.probe("mem.load").enabled
 
     def test_exec_cell_counters(self):
         bus = ProbeBus()
         reg = MetricsRegistry()
-        install_standard_metrics(bus, reg)
+        install_exec_metrics(bus, reg)
         cell = bus.probe("exec.cell")
         cell.emit(key="k1", workload="Camel", technique="svr16",
                   status="ok", cached=False, attempts=1, elapsed_s=1.5)
@@ -221,7 +225,7 @@ class TestStandardMetrics:
     def test_exec_failure_retry_timeout_counters(self):
         bus = ProbeBus()
         reg = MetricsRegistry()
-        install_standard_metrics(bus, reg)
+        install_exec_metrics(bus, reg)
         bus.probe("exec.failure").emit(
             key="k", workload="Camel", technique="svr16", kind="hang",
             message="timeout", attempts=2)
@@ -253,6 +257,95 @@ class TestStandardMetrics:
         assert snap["core.watchdog_trips"] == 3
         assert snap["core.watchdog_trips.cycles"] == 2
         assert snap["core.watchdog_trips.instructions"] == 1
+
+
+def _simulator_on(bus, tech_name, workload="Camel"):
+    """Every simulator component *tech_name* builds, on *bus*."""
+    from repro.cores.inorder import InOrderCore
+    from repro.cores.ooo import OutOfOrderCore
+    from repro.memory.hierarchy import MemoryHierarchy
+    from repro.svr.unit import ScalarVectorUnit
+    from repro.svr.vr import VectorRunaheadUnit
+    from repro.workloads.registry import build_workload
+
+    tech = technique(tech_name)
+    w = build_workload(workload, "tiny")
+    hierarchy = MemoryHierarchy(w.memory, tech.memory, bus=bus)
+    if tech.core == "ooo":
+        vr = (VectorRunaheadUnit(tech.vr_length)
+              if tech.vr_length is not None else None)
+        return OutOfOrderCore(w.program, w.memory, hierarchy,
+                              tech.core_config, vr=vr, bus=bus)
+    svr = (ScalarVectorUnit(tech.svr, bus=bus)
+           if tech.svr is not None else None)
+    return InOrderCore(w.program, w.memory, hierarchy, tech.core_config,
+                       svr=svr, bus=bus)
+
+
+class TestOneCountingPath:
+    def test_events_never_count_what_stats_keep(self):
+        """No name an event subscriber writes is also read off a stats
+        object, over windows that exercise SVR, IMP and the OoO core."""
+        from repro.obs.metrics import read_stats_counters
+
+        for tech_name in ("svr16", "imp", "vr"):
+            bus = ProbeBus()
+            from_events = MetricsRegistry()
+            install_standard_metrics(bus, from_events)
+            core = _simulator_on(bus, tech_name)
+            core.run(3000)
+            from_stats = MetricsRegistry()
+            read_stats_counters(from_stats, core)
+            events, stats = from_events.snapshot(), from_stats.snapshot()
+            assert stats["core.instructions"] == 3000
+            assert events["mem.load.latency"]["count"] == stats["mem.loads"]
+            assert not set(events) & set(stats), tech_name
+
+    def test_counters_keep_window_scope(self):
+        """The TLB walk and accuracy-ban counts, lifetime counts in their
+        components, reset with the window's stats: every counter covers
+        the measured window only."""
+        from repro.svr.config import SVRConfig
+        from repro.svr.unit import ScalarVectorUnit
+
+        obs = RunObservation()
+        run("xz", technique("ooo"), scale="tiny", obs=obs)
+        snap = obs.metrics_snapshot()
+        assert snap["tlb.walks"] == snap["tlb.walk.latency"]["count"] > 0
+        unit = ScalarVectorUnit(SVRConfig())
+        unit.monitor.bans = 2
+        unit.reset_stats()
+        assert unit.monitor.bans == 0
+
+    def test_every_simulator_probe_has_a_subscriber(self, monkeypatch):
+        """A probe the simulator creates must feed something in ``src/``:
+        the metrics, the Chrome trace, the span bridge or ``repro
+        trace``."""
+        from repro.harness import trace as ascii_trace
+        from repro.obs import SpanTracer, bridge_probe_spans
+
+        class RecordingBus(ProbeBus):
+            def __init__(self):
+                super().__init__()
+                self.patterns = set()
+
+            def subscribe(self, pattern, fn):
+                self.patterns.add(pattern)
+                return super().subscribe(pattern, fn)
+
+        subscribed = RecordingBus()
+        install_standard_metrics(subscribed, MetricsRegistry())
+        ChromeTraceBuilder().attach(subscribed)
+        bridge_probe_spans(SpanTracer(), subscribed)
+        monkeypatch.setattr(ascii_trace, "ProbeBus", lambda: subscribed)
+        ascii_trace.capture("Camel", "svr16", warmup=10, count=10)
+
+        created = ProbeBus()
+        for tech_name in ("svr16", "imp", "vr", "ooo"):
+            _simulator_on(created, tech_name)
+        names = set(created.names()) | {"core.watchdog"}
+        assert {"core.commit", "mem.load", "svr.svi"} <= names
+        assert names - subscribed.patterns == set()
 
 
 class TestRunLog:

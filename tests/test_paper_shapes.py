@@ -8,7 +8,7 @@ numbers — per DESIGN.md's substitution contract.
 import pytest
 
 from repro.harness.report import harmonic_mean
-from repro.harness.runner import run, technique
+from repro.harness.runner import run
 
 pytestmark = pytest.mark.shapes
 

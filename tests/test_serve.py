@@ -12,7 +12,7 @@ import pytest
 from repro.__main__ import main
 from repro.exec import CRASH, HANG, QUARANTINED, ExecConfig, RunJournal
 from repro.exec.spec import RunSpec
-from repro.obs.metrics import MetricsRegistry, install_standard_metrics
+from repro.obs.metrics import MetricsRegistry, install_exec_metrics
 from repro.obs.probes import ProbeBus
 from repro.serve import (
     CLOSED,
@@ -328,7 +328,7 @@ class TestJournalCorruption:
                                   "more garbage", self.cell("bb")])
         bus = ProbeBus()
         registry = MetricsRegistry()
-        install_standard_metrics(bus, registry)
+        install_exec_metrics(bus, registry)
         journal = RunJournal(path, bus=bus)
         with pytest.warns(RuntimeWarning):
             journal.load()

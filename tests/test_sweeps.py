@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.harness.runner import run, technique
+from repro.harness.runner import run
 from repro.harness.sweeps import SweepAxis, render_sweep, sweep
 
 

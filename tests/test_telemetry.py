@@ -4,6 +4,7 @@ the deterministic parent-side merge."""
 import itertools
 import json
 import os
+from dataclasses import replace
 
 import pytest
 
@@ -13,7 +14,8 @@ from repro.exec import (
     TelemetryConfig,
     run_cells,
 )
-from repro.obs import merge_typed_snapshots, validate_trace
+from repro.harness.runner import technique
+from repro.obs import merge_typed_snapshots, typed_to_plain, validate_trace
 from repro.obs.probes import ProbeBus
 
 TINY = [("Camel", "svr16"), ("Camel", "inorder"), ("Randacc", "svr16")]
@@ -38,12 +40,6 @@ class TestTelemetryConfig:
     def test_off_by_default(self):
         assert ExecConfig().telemetry is None
 
-    def test_validators(self):
-        with pytest.raises(ValueError):
-            TelemetryConfig(trace_tail=-1)
-        with pytest.raises(ValueError):
-            TelemetryConfig(max_spans=0)
-
 
 class TestInlineCapture:
     def test_payload_shape(self):
@@ -58,8 +54,7 @@ class TestInlineCapture:
             assert "start" in telem["measure_wall"]
             assert "end" in telem["measure_wall"]
             names = {s["name"] for s in telem["spans"]}
-            assert {"cell", "build", "warmup", "measure",
-                    "serialize"} <= names
+            assert {"cell", "build", "warmup", "measure"} <= names
             assert telem["metrics"]["core.instructions"]["kind"] == \
                 "counter"
 
@@ -88,6 +83,66 @@ class TestInlineCapture:
         names = [s["name"] for s in report.parent_spans]
         assert names.count("attempt") == 2
         assert names[-1] == "run_cells"
+
+
+class TestWindowCounters:
+    @pytest.mark.parametrize("isolated", [False, True],
+                             ids=["inline", "worker"])
+    def test_watchdog_trip_ships_the_counters_it_reached(self, isolated):
+        """A window that ends in an exception still reports the counters
+        it reached: the stats are read when the window closes, and it
+        closes on the way out of the exception too."""
+        tech = technique("svr16")
+        tech = replace(tech, core_config=replace(
+            tech.core_config, watchdog_max_cycles=4000.0))
+        spec = RunSpec.make("Camel", tech, scale="tiny")
+        extra = {"jobs": 1, "timeout_s": 60.0} if isolated else {}
+        (outcome,) = run_cells([spec], _config(retries=0, **extra)).outcomes
+        assert outcome.status == "failed"
+        metrics = typed_to_plain(outcome.telemetry["metrics"])
+        assert metrics["core.watchdog_trips"] == 1
+        assert {name: metrics[name] for name in (
+            "core.instructions", "mem.loads", "dram.accesses",
+            "svr.prm.rounds", "svr.svi.lanes")} == {
+            "core.instructions": 158, "mem.loads": 37,
+            "dram.accesses": 17, "svr.prm.rounds": 1,
+            "svr.svi.lanes": 64}
+
+
+class TestTraceTail:
+    def test_capture_ships_the_window_tail_rebased_onto_measure(self):
+        from conftest import build_gather_workload, make_inorder
+        from repro.exec.telemetry import (
+            TRACE_TAIL,
+            CellCapture,
+            _rebase_sim_events,
+        )
+
+        capture = CellCapture(TelemetryConfig(), _specs()[0], attempt=1)
+        core, _, _ = make_inorder(*build_gather_workload())
+        core.stats.start_cycle, core.stats.end_cycle = 1_000.0, 10_000.0
+        capture.obs.begin_measure(core)
+        svi = capture.obs.bus.probe("svr.svi")
+        for i in range(9_000):
+            svi.emit(pc=4, time=1_000.0 + i, lanes=1)
+        capture.obs.end_measure()
+        payload = capture.snapshot("ok")
+
+        events = payload["trace_events"]
+        assert TRACE_TAIL == len(events) == 128
+        assert [ev["ts"] for ev in events] == [
+            1_000.0 + i for i in range(9_000 - 128, 9_000)]
+        assert payload["trace_dropped"] == 9_000 - 128
+        cycles = payload["measure_cycles"]
+        assert cycles == {"start": 1_000.0, "end": 10_000.0}
+        # Each event lands at the fraction of the measure slice that its
+        # cycle is of the window.
+        wall = {"start": 50.0, "end": 50.5}
+        rebased = _rebase_sim_events(events, wall, cycles)
+        assert len(rebased) == len(events)
+        for moved, raw in zip(rebased, events):
+            assert (moved["ts"] - 50.0e6) / 0.5e6 == pytest.approx(
+                (raw["ts"] - 1_000.0) / 9_000.0)
 
 
 class TestIsolatedCapture:
