@@ -1,17 +1,19 @@
 """Static analysis over mini-ISA programs (design in docs/static-analysis.md).
 
-The framework has four layers, each usable on its own:
+The framework has these layers, each usable on its own:
 
 * :mod:`repro.analysis.cfg`       — basic blocks, dominators, natural loops;
 * :mod:`repro.analysis.dataflow`  — worklist engine + reaching definitions,
   liveness and definite assignment;
-* :mod:`repro.analysis.induction` — induction variables and static stride
-  classification of every load (striding / indirect / invariant);
+* :mod:`repro.analysis.memdep`    — the one address lattice (basic
+  induction variables, an :class:`AddrExpr` per address) and the
+  loop-level memory dependences over it;
+* :mod:`repro.analysis.induction` — static classification of every load
+  (striding / indirect / invariant / irregular), a reading of its
+  :class:`AddrExpr`;
 * :mod:`repro.analysis.taint`     — static SVR taint chains seeded at
   striding loads: the dependent instructions a perfect SVR unit would
   vectorize, with expected chain length and SRF pressure;
-* :mod:`repro.analysis.memdep`    — loop-level memory dependences over the
-  invariant/affine/load-dependent address lattice;
 * :mod:`repro.analysis.vectorplan` — per-loop lane-batching legality
   verdicts (``BATCHABLE`` / ``BATCHABLE_WITH_GUARD`` / ``SCALAR_ONLY``);
 * :mod:`repro.analysis.oracle`    — dynamic cross-validation of every
@@ -33,11 +35,7 @@ from repro.analysis.dataflow import (
     solve,
     unassigned_reads,
 )
-from repro.analysis.induction import (
-    InductionVariable,
-    LoadInfo,
-    StrideAnalysis,
-)
+from repro.analysis.induction import LoadClass, LoadInfo, StrideAnalysis
 from repro.analysis.lint import (
     DIAGNOSTIC_CATALOG,
     LINT_SCHEMA,
@@ -49,6 +47,7 @@ from repro.analysis.lint import (
 from repro.analysis.memdep import (
     AddrExpr,
     DepEdge,
+    InductionVariable,
     LoopDependences,
     MemAccess,
     MemDepAnalysis,
@@ -82,7 +81,6 @@ from repro.analysis.vectorplan import (
     build_plan,
     plan_for_program,
 )
-from repro.svr.chain import LoadClass
 
 __all__ = [
     "AddrExpr",

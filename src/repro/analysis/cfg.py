@@ -45,9 +45,6 @@ class Loop:
     back_edges: tuple[int, ...]      # latch block start pcs
     exits: tuple[int, ...] = ()      # blocks outside the loop targeted from it
 
-    def contains_block(self, block_start: int) -> bool:
-        return block_start in self.body
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Loop(header={self.header}, blocks={len(self.body)})"
 

@@ -157,11 +157,6 @@ class ReachingDefinitions:
         defs = self._walk(block, block_in, pc)
         return frozenset(d[0] for d in defs if d[1] == reg)
 
-    def defs_in(self, pcs: Iterable[int], reg: int) -> frozenset[int]:
-        """Definition sites of *reg* among *pcs* (no flow information)."""
-        return frozenset(pc for pc in pcs
-                         if reg in _writes(self.cfg.program[pc]))
-
 
 class LiveRegisters:
     """Backward may-analysis: registers whose value may still be read."""

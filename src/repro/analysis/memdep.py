@@ -1,7 +1,14 @@
 """Loop-level memory-dependence analysis over the address lattice.
 
-This extends the four-point address lattice of :mod:`repro.analysis.induction`
-with the two ingredients a vectorization-legality argument needs:
+This module owns the analysis's one address lattice.  For every natural
+loop it finds the *basic induction variables* (registers updated by
+exactly one loop-carried ``addi r, r, c``) and evaluates every address
+register symbolically over the loop's def-use chains into an
+:class:`AddrExpr` of kind ``invariant`` | ``affine`` | ``loaddep`` |
+``varying``.  Every value also keeps the set of in-loop loads that feed
+it, whatever its kind; :class:`~repro.analysis.induction.StrideAnalysis`
+classifies each load by reading its expression.  On top of the lattice
+sit the two ingredients a vectorization-legality argument needs:
 
 * **base regions** — the loop-invariant component of every address is
   resolved through out-of-loop def chains down to its *root definitions*
@@ -19,7 +26,7 @@ with the two ingredients a vectorization-legality argument needs:
 For every natural loop :func:`MemDepAnalysis.loop_dependences` classifies
 each load/store address, tests every store-involving pair, and classifies
 each branch as ``uniform`` (loop-invariant condition), ``trip``
-(loop-variant but load-free — the loop-bound unit's territory) or
+(loop-variant but not load-derived — the loop-bound unit's territory) or
 ``divergent`` (condition derived from an in-loop load — SVR's lane-mask
 territory).  Independence verdicts carry a ``basis`` of ``proved`` or
 ``assumed`` so downstream consumers know which claims need the oracle.
@@ -32,7 +39,6 @@ from typing import Any
 
 from repro.analysis.cfg import CFG, Loop
 from repro.analysis.dataflow import ReachingDefinitions
-from repro.analysis.induction import InductionVariable, StrideAnalysis
 from repro.isa.instructions import Opcode
 
 MEMDEP_SCHEMA = 1
@@ -41,12 +47,23 @@ MEMDEP_SCHEMA = 1
 # the cap only guards against pathological hand-built programs).
 _MAX_DEPTH = 32
 
+# Opcodes whose result keeps no affine structure of its operands (hashing,
+# masking, comparing ...).
 _OPAQUE_OPS = frozenset({
     Opcode.AND, Opcode.ANDI, Opcode.OR, Opcode.ORI, Opcode.XOR, Opcode.XORI,
     Opcode.SRL, Opcode.SRLI, Opcode.MIN, Opcode.MAX, Opcode.FMUL,
     Opcode.CMP_LT, Opcode.CMP_LTU, Opcode.CMP_EQ, Opcode.CMP_NE,
     Opcode.CMP_GE, Opcode.SLL, Opcode.MUL,
 })
+
+
+@dataclass(frozen=True)
+class InductionVariable:
+    """A basic IV: single in-loop update ``addi reg, reg, step``."""
+
+    reg: int
+    step: int
+    update_pc: int
 
 
 @dataclass(frozen=True)
@@ -114,7 +131,10 @@ class AddrExpr:
     ``kind`` is ``invariant`` | ``affine`` | ``loaddep`` | ``varying``.
     ``affine`` means ``iv * scale + inv``; ``loaddep`` keeps the invariant
     component that was added to the load-derived value (the array base of
-    a gather/scatter); ``varying`` is loop-variant but load-free.
+    a gather/scatter); ``varying`` is loop-variant with no usable form.
+    ``loads`` is the set of in-loop loads feeding the value, of any kind:
+    a load's result plus a loop-carried hash is ``varying``, yet fed by
+    that load.
     """
 
     kind: str
@@ -137,9 +157,9 @@ def _invariant(inv: InvPart) -> AddrExpr:
 
 
 def _add(a: AddrExpr, b: AddrExpr, *, negate_b: bool = False) -> AddrExpr:
-    if a.kind == "varying" or b.kind == "varying":
-        return _VARYING
     loads = a.loads | b.loads
+    if a.kind == "varying" or b.kind == "varying":
+        return AddrExpr("varying", loads=loads)
     inv_b = b.inv.negate() if negate_b else b.inv
     inv = a.inv.add(inv_b)
     if loads:
@@ -161,7 +181,7 @@ def _add(a: AddrExpr, b: AddrExpr, *, negate_b: bool = False) -> AddrExpr:
 
 def _rescale(expr: AddrExpr, factor: int) -> AddrExpr:
     if expr.kind == "varying":
-        return _VARYING
+        return expr
     inv = expr.inv.rescale(factor)
     if expr.kind == "affine":
         return AddrExpr("affine", inv, iv=expr.iv, scale=expr.scale * factor)
@@ -175,10 +195,10 @@ def _meet(a: AddrExpr, b: AddrExpr) -> AddrExpr:
     if a == b:
         return a
     loads = a.loads | b.loads
-    if loads:
+    if "loaddep" in (a.kind, b.kind):
         inv = (a.inv if a.inv == b.inv else _UNKNOWN_INV)
         return AddrExpr("loaddep", inv, loads=loads)
-    return _VARYING
+    return AddrExpr("varying", loads=loads)
 
 
 @dataclass(frozen=True)
@@ -241,8 +261,8 @@ class BranchInfo:
     """Lane-divergence class of one in-loop branch.
 
     ``uniform`` — loop-invariant condition, identical across lanes;
-    ``trip``    — loop-variant but load-free (trip-count shaped; the
-                  loop-bound unit throttles N', no lane masking occurs);
+    ``trip``    — loop-variant but not ``loaddep`` (trip-count shaped;
+                  the loop-bound unit throttles N', no lane masking occurs);
     ``divergent`` — condition derived from an in-loop load: per-lane
                   outcomes can differ, SVR masks diverging lanes.
     """
@@ -275,16 +295,13 @@ class LoopDependences:
 class MemDepAnalysis:
     """Address classification and dependence testing, loop by loop."""
 
-    def __init__(self, cfg: CFG,
-                 stride: StrideAnalysis | None = None) -> None:
+    def __init__(self, cfg: CFG) -> None:
         self.cfg = cfg
         self.program = cfg.program
-        self.stride = stride or StrideAnalysis(cfg)
-        self.reaching: ReachingDefinitions = self.stride.reaching
+        self.reaching = ReachingDefinitions(cfg)
         self._loop_pcs: dict[int, frozenset[int]] = {}
+        self._ivs: dict[int, dict[int, InductionVariable]] = {}
         self._inv_cache: dict[int, InvPart] = {}
-
-    # -- symbolic evaluation ------------------------------------------------
 
     def _pcs_of(self, loop: Loop) -> frozenset[int]:
         cached = self._loop_pcs.get(loop.header)
@@ -293,8 +310,30 @@ class MemDepAnalysis:
             self._loop_pcs[loop.header] = cached
         return cached
 
-    def _ivs(self, loop: Loop) -> dict[int, InductionVariable]:
-        return self.stride.induction_variables(loop)
+    # -- induction variables ------------------------------------------------
+
+    def induction_variables(self, loop: Loop) -> dict[int, InductionVariable]:
+        """Basic IVs of *loop*, keyed by register index."""
+        cached = self._ivs.get(loop.header)
+        if cached is not None:
+            return cached
+        defs_by_reg: dict[int, list[int]] = {}
+        for pc in self._pcs_of(loop):
+            for reg in self.program[pc].regs_written():
+                if reg != 0:
+                    defs_by_reg.setdefault(reg, []).append(pc)
+        ivs: dict[int, InductionVariable] = {}
+        for reg, def_pcs in defs_by_reg.items():
+            if len(def_pcs) != 1:
+                continue
+            inst = self.program[def_pcs[0]]
+            if (inst.op is Opcode.ADDI and inst.rs1 == reg
+                    and inst.imm != 0):
+                ivs[reg] = InductionVariable(reg, inst.imm, def_pcs[0])
+        self._ivs[loop.header] = ivs
+        return ivs
+
+    # -- symbolic evaluation ------------------------------------------------
 
     def expr_of(self, reg: int | None, use_pc: int, loop: Loop) -> AddrExpr:
         """Symbolic value of *reg* as read at *use_pc* within *loop*."""
@@ -306,7 +345,7 @@ class MemDepAnalysis:
                   visiting: frozenset[int]) -> AddrExpr:
         if reg == 0:
             return _invariant(InvPart(frozenset(), 0, True))
-        if reg in self._ivs(loop):
+        if reg in self.induction_variables(loop):
             return AddrExpr("affine", InvPart(frozenset(), 0, True),
                             iv=reg, scale=1)
         pcs = self._pcs_of(loop)
@@ -360,13 +399,13 @@ class MemDepAnalysis:
             exprs = [self._eval_reg(r, def_pc, loop, visiting)
                      for r in inst.regs_read()]
             loads = frozenset().union(*(e.loads for e in exprs))
-            if loads:
+            if any(e.kind == "loaddep" for e in exprs):
                 return AddrExpr("loaddep", _UNKNOWN_INV, loads=loads)
             if all(e.kind == "invariant" for e in exprs):
                 # Opaque combination of invariants is invariant, but the
                 # value (and hence region) is no longer tracked.
                 return _invariant(InvPart(frozenset({def_pc}), None, False))
-            return _VARYING
+            return AddrExpr("varying", loads=loads)
         return _VARYING
 
     # -- out-of-loop base resolution ----------------------------------------
@@ -428,22 +467,22 @@ class MemDepAnalysis:
 
     # -- per-loop classification --------------------------------------------
 
+    def access_of(self, pc: int, loop: Loop) -> MemAccess:
+        """Classify the address of the load or store at *pc* in *loop*."""
+        inst = self.program[pc]
+        base = self.expr_of(inst.rs1, pc, loop)
+        expr = _add(base, _invariant(InvPart(frozenset(), inst.imm, True)))
+        stride = None
+        if expr.kind == "affine":
+            assert expr.iv is not None
+            stride = expr.scale * self.induction_variables(loop)[expr.iv].step
+        return MemAccess(pc, inst.is_store, expr, stride)
+
     def accesses_of(self, loop: Loop) -> tuple[MemAccess, ...]:
         """Classify every load and store inside *loop*, in pc order."""
-        ivs = self._ivs(loop)
-        out = []
-        for pc in sorted(self._pcs_of(loop)):
-            inst = self.program[pc]
-            if not inst.is_mem:
-                continue
-            base = self.expr_of(inst.rs1, pc, loop)
-            expr = _add(base,
-                        _invariant(InvPart(frozenset(), inst.imm, True)))
-            stride = None
-            if expr.kind == "affine" and expr.iv in ivs:
-                stride = expr.scale * ivs[expr.iv].step
-            out.append(MemAccess(pc, inst.is_store, expr, stride))
-        return tuple(out)
+        return tuple(self.access_of(pc, loop)
+                     for pc in sorted(self._pcs_of(loop))
+                     if self.program[pc].is_mem)
 
     def branches_of(self, loop: Loop) -> tuple[BranchInfo, ...]:
         """Lane-divergence class of every branch inside *loop*."""
@@ -481,9 +520,7 @@ class MemDepAnalysis:
                     return DepEdge(a.pc, b.pc, kind, "independent", "proved",
                                    "distinct-constants")
                 assert ea.iv is not None
-                ivs = self._ivs(loop)
-                step = ivs[ea.iv].step if ea.iv in ivs else 1
-                stride = ea.scale * step
+                stride = ea.scale * self.induction_variables(loop)[ea.iv].step
                 if stride != 0:
                     if delta % stride:
                         return DepEdge(a.pc, b.pc, kind, "independent",

@@ -18,8 +18,10 @@ The static analyses make three kinds of checkable claims:
 when absent the unit pays a single ``is not None`` test per committed
 instruction, keeping the simulator hot path clean.  The recorder captures
 the real-path address stream per pc, every per-lane SVI address, the
-stride of every PRM round, and every branch-divergence masking event
-tagged with the seeds active in that round.  :func:`validate_plan` then
+strides every seed's PRM rounds used (``round_strides``), every pc that
+read a tainted register in PRM (``dependents``, the dynamic chain), and
+every branch-divergence masking event tagged with the seeds active in
+that round.  :func:`validate_plan` then
 checks every claim and returns an :class:`OracleReport`; a non-empty
 ``violations`` list means the static analysis was unsound for this run —
 CI fails loudly on it.
@@ -100,6 +102,7 @@ class OracleRecorder:
         self.real: dict[int, AccessStream] = {}
         self.svi: dict[int, AccessStream] = {}
         self.round_strides: dict[int, set[int]] = {}
+        self.dependents: set[int] = set()
         self.mask_sites: dict[tuple[int, tuple[int, ...]], int] = {}
         self.mask_sites_truncated = False
         self.rounds = 0
@@ -137,6 +140,9 @@ class OracleRecorder:
 
     def observe_stride_round(self, seed_pc: int, stride: int) -> None:
         self.round_strides.setdefault(seed_pc, set()).add(stride)
+
+    def observe_dependent(self, pc: int) -> None:
+        self.dependents.add(pc)
 
     def observe_mask(self, pc: int) -> None:
         key = (pc, tuple(sorted(self._round_seeds)))

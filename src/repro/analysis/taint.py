@@ -23,8 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.cfg import CFG
-from repro.analysis.induction import LoadInfo, StrideAnalysis
-from repro.svr.chain import LoadClass
+from repro.analysis.induction import LoadClass, LoadInfo, StrideAnalysis
 
 
 @dataclass(frozen=True)

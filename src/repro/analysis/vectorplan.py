@@ -39,11 +39,10 @@ import json
 from dataclasses import dataclass
 
 from repro.analysis.cfg import CFG, Loop, build_cfg
-from repro.analysis.induction import LoadInfo, StrideAnalysis
+from repro.analysis.induction import LoadClass, LoadInfo, StrideAnalysis
 from repro.analysis.memdep import LoopDependences, MemDepAnalysis
 from repro.analysis.taint import StaticChain, taint_chain
 from repro.isa.program import Program
-from repro.svr.chain import LoadClass
 
 PLAN_SCHEMA = 1
 
@@ -146,12 +145,6 @@ class VectorizationPlan:
     def summary(self) -> tuple[tuple[int, str, tuple[str, ...],
                                      tuple[str, ...]], ...]:
         return tuple(lp.summary for lp in self.loops)
-
-    def loop_plan(self, header: int) -> LoopPlan | None:
-        for lp in self.loops:
-            if lp.header == header:
-                return lp
-        return None
 
     def plan_for_seed(self, seed_pc: int) -> LoopPlan | None:
         """The loop plan that lists *seed_pc* as a striding seed."""
@@ -273,9 +266,8 @@ def build_plan(program: Program, name: str | None = None,
                vector_length: int = 16) -> VectorizationPlan:
     """Compute the :class:`VectorizationPlan` for *program*."""
     cfg = build_cfg(program)
-    stride = StrideAnalysis(cfg)
-    memdep = MemDepAnalysis(cfg, stride)
-    loads = stride.loads()
+    memdep = MemDepAnalysis(cfg)
+    loads = StrideAnalysis(cfg, memdep).loads()
     seeds_by_loop: dict[int, list[LoadInfo]] = {}
     chains: dict[int, StaticChain] = {}
     for info in loads:

@@ -41,7 +41,6 @@ from repro.exec.failures import (
     HANG,
     INVALID_CONFIG,
     QUARANTINED,
-    CellFailedError,
     RunFailure,
 )
 from repro.exec.faults import (
@@ -65,7 +64,6 @@ from repro.exec.telemetry import (
 __all__ = [
     "CRASH",
     "CellCapture",
-    "CellFailedError",
     "CellOutcome",
     "Completion",
     "ExecConfig",

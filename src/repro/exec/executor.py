@@ -11,11 +11,11 @@ through.  Given a list of :class:`~repro.exec.spec.RunSpec` cells and an
 * runs the rest either **inline** (in-process, the fast default for
   sequential use) or **isolated** (on a :class:`WorkerPool` of up to
   ``jobs`` warm worker processes, each attempt killed at ``timeout_s``
-  wall-clock seconds);
+  wall-clock seconds) — isolated iff ``jobs > 1`` or a timeout is set;
 * classifies every failure into a structured
   :class:`~repro.exec.failures.RunFailure` (``crash`` / ``hang`` /
   ``invalid-config``) instead of propagating;
-* retries transient kinds with bounded exponential backoff;
+* retries crashes and hangs with bounded, jittered exponential backoff;
 * journals each completed cell so a re-invocation resumes where the
   previous one died;
 * emits ``exec.*`` probe events on the probe bus for the observability
@@ -32,12 +32,9 @@ end ``ok`` — a failure it reports, its death, or a wall-clock kill — so
 a failed cell never shares a process with a later one; the next cell
 starts a fresh worker.
 
-With ``salvage=True`` (the default) a failed cell is reported in the
-:class:`ExecReport` and the remaining cells still complete — the
-partial-but-honest behaviour the figure harness needs.  With
-``salvage=False`` the first terminal failure raises (the original
-exception inline; :class:`~repro.exec.failures.CellFailedError` across a
-process boundary, where the original object is gone).
+A failed cell is *salvaged*: it is reported in the :class:`ExecReport`
+and the remaining cells still complete — the partial-but-honest
+behaviour the figure harness needs.
 """
 
 from __future__ import annotations
@@ -52,10 +49,9 @@ from typing import Any, Callable, Sequence
 from repro.cores.base import SimulationError
 from repro.exec.failures import (
     CRASH,
-    DEFAULT_RETRY_KINDS,
     HANG,
     INVALID_CONFIG,
-    CellFailedError,
+    RETRY_KINDS,
     RunFailure,
 )
 from repro.exec.faults import (
@@ -79,24 +75,24 @@ from repro.obs.progress import ProgressConfig, advancing
 from repro.obs.spans import SpanTracer
 
 
+# Each retry delay is the previous one times BACKOFF_FACTOR, spread by
+# ± BACKOFF_JITTER of itself.
+BACKOFF_FACTOR = 2.0
+BACKOFF_JITTER = 0.1
+
+
 @dataclass
 class ExecConfig:
     """Knobs for one :func:`run_cells` invocation."""
 
     jobs: int = 1                     # concurrent isolated workers
     timeout_s: float | None = None    # wall-clock kill fence per attempt
-    retries: int = 1                  # extra attempts for transient kinds
+    retries: int = 1                  # extra attempts after a crash or hang
     backoff_s: float = 0.25           # first retry delay ...
-    backoff_factor: float = 2.0       # ... growing by this factor ...
     max_backoff_s: float = 5.0        # ... capped here
-    backoff_jitter: float = 0.1       # ± fraction of seeded jitter per delay
-    jitter_seed: int = 0              # decorrelates whole fleets of runs
-    isolate: bool | None = None       # None = auto: jobs > 1 or timeout set
     journal: str | None = None        # JSONL checkpoint path
     resume: bool = False              # serve journaled successes, re-run rest
     faults: FaultPlan | None = None   # seeded fault injection
-    salvage: bool = True              # False = strict: raise on failure
-    retry_kinds: tuple[str, ...] = DEFAULT_RETRY_KINDS
     bus: ProbeBus | None = None       # probe bus; None = the default bus
     telemetry: TelemetryConfig | None = None   # per-cell capture; None = off
     progress: ProgressConfig | None = None     # in-flight frames; None = off
@@ -112,40 +108,31 @@ class ExecConfig:
                 f"ExecConfig.timeout_s must be > 0, got {self.timeout_s}")
         if self.backoff_s < 0 or self.max_backoff_s < 0:
             raise ValueError("ExecConfig backoff delays must be >= 0")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError(
-                f"ExecConfig.backoff_jitter must be in [0, 1], "
-                f"got {self.backoff_jitter}")
         if self.resume and not self.journal:
             raise ValueError("ExecConfig.resume requires a journal path")
-        if self.timeout_s is not None and self.isolate is False:
-            raise ValueError(
-                "ExecConfig.timeout_s requires process isolation; do not "
-                "force isolate=False with a timeout")
 
     @property
-    def effective_isolate(self) -> bool:
-        if self.isolate is not None:
-            return self.isolate
+    def isolate(self) -> bool:
+        """Cells run in worker processes iff ``jobs > 1`` or a timeout is
+        set (a wall-clock kill needs a process to kill)."""
         return self.jobs > 1 or self.timeout_s is not None
 
     def backoff_delay(self, failed_attempt: int, key: str = "") -> float:
         """Delay before re-running *key* after its Nth failed attempt.
 
         Exponential growth capped at ``max_backoff_s``, then spread by a
-        deterministic ± ``backoff_jitter`` fraction hashed from
-        ``(jitter_seed, key, attempt)`` — every cell backs off at its own
-        phase, so a fleet of workers retrying the same transient outage
-        cannot re-converge into a synchronized retry storm, yet the same
-        run always produces the same delays.  Without a *key* (or with
-        jitter 0) the delay is the bare capped exponential.
+        deterministic ± ``BACKOFF_JITTER`` fraction hashed from ``(key,
+        attempt)`` — every cell backs off at its own phase, so a fleet of
+        workers retrying the same transient outage cannot re-converge into
+        a synchronized retry storm, yet the same run always produces the
+        same delays.  Without a *key* the delay is the bare capped
+        exponential.
         """
-        delay = self.backoff_s * self.backoff_factor ** (failed_attempt - 1)
+        delay = self.backoff_s * BACKOFF_FACTOR ** (failed_attempt - 1)
         delay = min(delay, self.max_backoff_s)
-        if self.backoff_jitter and key:
-            u = _unit_interval(self.jitter_seed,
-                               f"{key}:a{failed_attempt}")
-            delay *= 1.0 + self.backoff_jitter * (2.0 * u - 1.0)
+        if key:
+            u = _unit_interval(0, f"{key}:a{failed_attempt}")
+            delay *= 1.0 + BACKOFF_JITTER * (2.0 * u - 1.0)
         return min(max(delay, 0.0), self.max_backoff_s)
 
 
@@ -693,7 +680,7 @@ class OutcomeSink:
         if self.tracer is not None:
             self._root = self.tracer.begin(
                 "run_cells", cells=cells, jobs=self.config.jobs,
-                isolate=self.config.effective_isolate)
+                isolate=self.config.isolate)
 
     def end_run(self) -> list[dict]:
         if self.tracer is None:
@@ -777,8 +764,7 @@ class OutcomeSink:
         ended in *failure* (announced on the bus and in the journal), or
         None when the failure is terminal."""
         config, attempt = self.config, failure.attempts
-        if (failure.kind not in config.retry_kinds
-                or attempt > config.retries):
+        if failure.kind not in RETRY_KINDS or attempt > config.retries:
             return None
         delay = config.backoff_delay(attempt, spec.key)
         self.p_retry.emit(key=spec.key, workload=spec.workload,
@@ -827,18 +813,17 @@ def _run_inline(pending: list[RunSpec], config: ExecConfig,
         while True:
             start = time.perf_counter()
             mono_start = time.monotonic()
-            exc_seen: BaseException | None = None
+            failure: RunFailure | None = None
             result = None
             capture = CellCapture(config.telemetry, spec, attempt)
             try:
                 _inject(config.faults, spec, attempt, inline=True)
                 result = capture.run()
             except Exception as exc:   # noqa: BLE001 — classified below
-                exc_seen = exc
                 failure = _classify(spec, exc)
             elapsed_total += time.perf_counter() - start
             mono_end = time.monotonic()
-            if exc_seen is None:
+            if failure is None:
                 sink.attempt_span(spec, attempt, mono_start, mono_end,
                                   "ok")
                 outcomes.append(sink.ok(spec, result, attempt,
@@ -854,8 +839,6 @@ def _run_inline(pending: list[RunSpec], config: ExecConfig,
                 time.sleep(delay)
                 attempt += 1
                 continue
-            if not config.salvage:
-                raise exc_seen
             outcomes.append(sink.fail(spec, failure,
                                       capture.snapshot("failed")))
             break
@@ -911,8 +894,6 @@ def _run_isolated(pending: list[RunSpec], config: ExecConfig,
             waiting.append(cell)
             return
         outcomes.append(sink.fail(cell.spec, failure, c.telemetry))
-        if not config.salvage:
-            raise CellFailedError(failure)
 
     try:
         while waiting or inflight:
@@ -964,8 +945,7 @@ def run_cells(specs: Sequence[RunSpec],
     sink.begin_run(len(order))
     try:
         if pending:
-            runner = (_run_isolated if config.effective_isolate
-                      else _run_inline)
+            runner = _run_isolated if config.isolate else _run_inline
             for outcome in runner(pending, config, sink):
                 outcomes[outcome.key] = outcome
     finally:

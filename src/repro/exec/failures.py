@@ -30,10 +30,10 @@ QUARANTINED = "quarantined"
 
 FAILURE_KINDS = (CRASH, HANG, INVALID_CONFIG, QUARANTINED)
 
-# Kinds worth retrying by default: transient by presumption.  A
-# deterministic bug fails again and ends up in the journal as failed — the
-# bounded retry just absorbs flaky environments.
-DEFAULT_RETRY_KINDS = (CRASH, HANG)
+# Kinds worth retrying: transient by presumption.  A deterministic bug
+# fails again and ends up in the journal as failed — the bounded retry
+# just absorbs flaky environments.
+RETRY_KINDS = (CRASH, HANG)
 
 
 @dataclass
@@ -78,11 +78,3 @@ class RunFailure:
                  if self.attempts > 1 else "")
         return f"{where}: {self.kind}{tries} — {self.message}"
 
-
-class CellFailedError(RuntimeError):
-    """Raised by the executor in strict (non-salvage) mode when a cell
-    fails terminally; carries the structured record."""
-
-    def __init__(self, failure: RunFailure) -> None:
-        super().__init__(str(failure))
-        self.failure = failure

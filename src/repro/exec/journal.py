@@ -7,13 +7,16 @@ dicts, and re-runs only the cells whose *last* record is a failure (or
 that never completed).  Appends are flushed and fsynced per record so a
 killed run loses at most the cell in flight.
 
-Corruption tolerance on load: a torn **trailing** line from a hard kill
-is expected and silently ignored; a corrupt line **mid-file** (disk
-fault, concurrent writer, manual edit) is skipped with a warning and
-counted — in :attr:`RunJournal.skipped_records` and, when the journal
-carries a probe bus, as an ``exec.journal.skip`` probe event feeding the
-``exec.journal_skipped_records`` metric — instead of poisoning the
-resume (every parseable record still loads).
+:meth:`RunJournal.records` is the one reader of these files (and of
+the JSONL run logs ``repro report`` folds in); ``--resume``, ``repro
+report`` and ``repro top --journal`` all go through it.  A torn
+**trailing** line from a hard kill is expected and silently ignored; a
+corrupt line **mid-file** (disk fault, concurrent writer, manual edit)
+is skipped with a warning and counted — in
+:attr:`RunJournal.skipped_records` and, when the journal carries a probe
+bus, as an ``exec.journal.skip`` probe event feeding the
+``exec.journal_skipped_records`` metric — instead of poisoning the read
+(every parseable record still loads).
 """
 
 from __future__ import annotations
@@ -68,16 +71,15 @@ class RunJournal:
     def exists(self) -> bool:
         return self.path.is_file()
 
-    def load(self) -> dict[str, dict[str, Any]]:
-        """Latest ``cell`` record per key (later records win, so a
-        resumed re-run of a failed cell supersedes the failure)."""
-        records: dict[str, dict[str, Any]] = {}
+    def records(self) -> list[dict[str, Any]]:
+        """Every parseable JSON object in the file, in file order."""
         if not self.exists():
-            return records
+            return []
         with self.path.open(encoding="utf-8") as fh:
             lines = [(no, line.strip())
                      for no, line in enumerate(fh, start=1)]
         lines = [(no, line) for no, line in lines if line]
+        records = []
         for index, (no, line) in enumerate(lines):
             try:
                 record = json.loads(line)
@@ -86,18 +88,22 @@ class RunJournal:
                     continue    # torn tail from a killed writer: expected
                 self._skip(no)
                 continue
-            if (isinstance(record, dict)
-                    and record.get("event") == "cell"
-                    and "key" in record):
-                records[record["key"]] = record
+            if isinstance(record, dict):
+                records.append(record)
         return records
+
+    def load(self) -> dict[str, dict[str, Any]]:
+        """Latest ``cell`` record per key (later records win, so a
+        resumed re-run of a failed cell supersedes the failure)."""
+        return {record["key"]: record for record in self.records()
+                if record.get("event") == "cell" and "key" in record}
 
     def _skip(self, line_no: int) -> None:
         self.skipped_records += 1
         warnings.warn(
             f"journal {self.path}: skipping corrupt record at line "
-            f"{line_no} (mid-file corruption; resume continues without "
-            "it)", RuntimeWarning, stacklevel=3)
+            f"{line_no} (mid-file corruption; every other record still "
+            "loads)", RuntimeWarning, stacklevel=3)
         if self._p_skip is not None:
             self._p_skip.emit(path=str(self.path), line=line_no)
 

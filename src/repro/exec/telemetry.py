@@ -65,7 +65,7 @@ TELEMETRY_VERSION = 1
 TRACE_TAIL = 128
 MAX_SPANS = 2048
 
-# Sim trace events keep their builder tids (1..5); span slices go on a
+# Sim trace events keep their builder tids (2..4); span slices go on a
 # tid far above them so the tracks never collide on a worker's process
 # track in the merged view.
 SPAN_TID = 100

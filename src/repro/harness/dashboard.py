@@ -24,6 +24,7 @@ import json
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
+from repro.exec.journal import RunJournal
 from repro.obs.metrics import merge_typed_snapshots
 
 # Chart palette (see docs/observability.md): one accent hue for
@@ -84,25 +85,6 @@ def _esc(value: Any) -> str:
     return html.escape(str(value), quote=True)
 
 
-def _read_jsonl(path: Path) -> list[dict[str, Any]]:
-    """Tolerant JSONL load: skips blank and torn lines."""
-    records: list[dict[str, Any]] = []
-    if not path.is_file():
-        return records
-    with path.open(encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-    return records
-
-
 # ---------------------------------------------------------------------------
 # Data assembly.
 # ---------------------------------------------------------------------------
@@ -117,7 +99,7 @@ def build_report_data(journals: Sequence[str | Path] = (),
     events: list[dict[str, Any]] = []
     serve_events: list[dict[str, Any]] = []
     for path in journals:
-        for record in _read_jsonl(Path(path)):
+        for record in RunJournal(path).records():
             kind = record.get("event")
             if kind == "cell" and "key" in record:
                 cells[record["key"]] = record   # latest record wins
@@ -177,7 +159,7 @@ def build_report_data(journals: Sequence[str | Path] = (),
     lint_rows: dict[str, dict[str, Any]] = {}
     plan_rows: dict[str, dict[str, Any]] = {}
     for path in runlogs:
-        for record in _read_jsonl(Path(path)):
+        for record in RunJournal(path).records():
             kind = record.get("kind")
             if kind == "lint":
                 # Latest lint record per target wins.

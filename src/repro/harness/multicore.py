@@ -13,11 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.cores.base import CoreStats
-from repro.cores.inorder import InOrderCore
-from repro.cores.ooo import OutOfOrderCore
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.svr.unit import ScalarVectorUnit
-from repro.harness.runner import TechniqueConfig, technique
+from repro.harness.runner import TechniqueConfig, build_core, technique
 from repro.workloads.registry import build_workload
 
 
@@ -59,23 +55,14 @@ def run_multicore(workloads, tech: TechniqueConfig | str,
     cores = []
     shared_dram = None
     for name in workloads:
-        workload = build_workload(name, scale)
-        hierarchy = MemoryHierarchy(workload.memory, tech.memory)
+        core = build_core(build_workload(name, scale), tech)
+        hierarchy = core.hierarchy
         if shared_dram is None:
             shared_dram = hierarchy.dram
         else:
             # All hierarchies and page-table walkers share one channel.
             hierarchy.dram = shared_dram
             hierarchy.tlb._dram = shared_dram
-        if tech.core == "inorder":
-            svr = ScalarVectorUnit(tech.svr) if tech.svr is not None else None
-            core = InOrderCore(workload.program, workload.memory, hierarchy,
-                               tech.core_config, svr=svr)
-        elif tech.core == "ooo":
-            core = OutOfOrderCore(workload.program, workload.memory,
-                                  hierarchy, tech.core_config)
-        else:
-            raise ValueError(f"unknown core kind: {tech.core!r}")
         cores.append(core)
 
     def co_run(budget_per_core: int) -> None:

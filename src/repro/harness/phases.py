@@ -10,10 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cores.inorder import InOrderCore
-from repro.harness.runner import TechniqueConfig, technique
-from repro.memory.hierarchy import MemoryHierarchy
-from repro.svr.unit import ScalarVectorUnit
+from repro.harness.runner import TechniqueConfig, build_core, technique
 from repro.workloads.registry import build_workload
 
 
@@ -42,11 +39,9 @@ def run_phases(workload_name: str, tech: TechniqueConfig | str = "svr16",
         tech = technique(tech)
     if tech.core != "inorder":
         raise ValueError("phase sampling supports the in-order core only")
-    wl = build_workload(workload_name, scale)
-    hierarchy = MemoryHierarchy(wl.memory, tech.memory)
-    svr = ScalarVectorUnit(tech.svr) if tech.svr is not None else None
-    core = InOrderCore(wl.program, wl.memory, hierarchy, tech.core_config,
-                       svr=svr)
+    core = build_core(build_workload(workload_name, scale), tech)
+    hierarchy = core.hierarchy
+    svr = core.svr
     core.run(warmup)
 
     samples: list[PhaseSample] = []

@@ -212,6 +212,28 @@ class SimResult:
         return "\n".join(lines)
 
 
+def build_core(workload: Workload, tech: TechniqueConfig, bus=None):
+    """Wire *tech*'s hierarchy, core and SVR / VR unit over *workload*.
+
+    The one mapping from a :class:`TechniqueConfig` to simulator objects:
+    :func:`run`, multicore co-simulation, phase sampling and trace capture
+    all build through it.  The returned core carries its hierarchy
+    (``core.hierarchy``) and its runahead unit (``core.svr`` on the
+    in-order core, ``core.vr`` on the out-of-order core; ``None`` when
+    the technique has none).
+    """
+    hierarchy = MemoryHierarchy(workload.memory, tech.memory, bus=bus)
+    if tech.core == "ooo":
+        vr_unit = (VectorRunaheadUnit(tech.vr_length)
+                   if tech.vr_length is not None else None)
+        return OutOfOrderCore(workload.program, workload.memory, hierarchy,
+                              tech.core_config, vr=vr_unit, bus=bus)
+    svr_unit = (ScalarVectorUnit(tech.svr, bus=bus)
+                if tech.svr is not None else None)
+    return InOrderCore(workload.program, workload.memory, hierarchy,
+                       tech.core_config, svr=svr_unit, bus=bus)
+
+
 # Default measurement windows per scale: (warmup, measure) instructions.
 _WINDOWS = {"tiny": (1_000, 4_000), "bench": (8_000, 25_000),
             "default": (15_000, 60_000)}
@@ -262,22 +284,10 @@ def run(workload: str | Workload, tech: TechniqueConfig | str,
             tech = replace(tech, core_config=replace(
                 tech.core_config, watchdog_max_cycles=fence))
 
-        hierarchy = MemoryHierarchy(workload.memory, tech.memory, bus=bus)
-        svr_unit = None
-        if tech.core == "inorder":
-            if tech.svr is not None:
-                svr_unit = ScalarVectorUnit(tech.svr, bus=bus)
-            core = InOrderCore(workload.program, workload.memory, hierarchy,
-                               tech.core_config, svr=svr_unit, bus=bus)
-        elif tech.core == "ooo":
-            vr_unit = (VectorRunaheadUnit(tech.vr_length)
-                       if tech.vr_length is not None else None)
-            core = OutOfOrderCore(workload.program, workload.memory,
-                                  hierarchy, tech.core_config, vr=vr_unit,
-                                  bus=bus)
-        else:
-            raise ValueError(f"unknown core kind: {tech.core!r}")
+        core = build_core(workload, tech, bus=bus)
 
+    hierarchy = core.hierarchy
+    svr_unit = getattr(core, "svr", None)
     vr_unit = getattr(core, "vr", None)
     if progress is not None:
         progress.annotate(workload=workload.name, technique=tech.name,

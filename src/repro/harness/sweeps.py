@@ -95,10 +95,6 @@ class SweepReport:
     def ok(self) -> bool:
         return not self.failures
 
-    def failed_combos(self) -> list[tuple]:
-        return [combo for combo, value in self.values.items()
-                if value is None]
-
     # -- telemetry passthrough (ExecConfig.telemetry must be set) -----------
 
     def telemetry_records(self) -> list[dict]:
@@ -148,8 +144,7 @@ def sweep_report(workloads: Sequence[str], base: TechniqueConfig | str,
 
     # Build every cell spec up front.  A combo whose configuration is
     # rejected at construction (negative vector length, ...) becomes a
-    # structured invalid-config failure rather than killing the sweep —
-    # unless the executor is strict (salvage=False).
+    # structured invalid-config failure rather than killing the sweep.
     combos = list(itertools.product(*(axis.values for axis in axes)))
     combo_cfgs: dict[tuple, TechniqueConfig] = {}
     invalid: dict[tuple, RunFailure] = {}
@@ -163,8 +158,6 @@ def sweep_report(workloads: Sequence[str], base: TechniqueConfig | str,
         except ValueError as exc:
             if "unknown config field" in str(exc) or "to sweep" in str(exc):
                 raise     # a mistyped axis path poisons every combo
-            if not exec_config.salvage:
-                raise
             invalid[combo] = RunFailure(
                 key="", workload="*", technique=name,
                 kind=INVALID_CONFIG, message=str(exc))

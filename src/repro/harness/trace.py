@@ -19,11 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.cores.inorder import InOrderCore
-from repro.harness.runner import TechniqueConfig, technique
-from repro.memory.hierarchy import MemoryHierarchy
+from repro.harness.runner import TechniqueConfig, build_core, technique
 from repro.obs.probes import ProbeBus
-from repro.svr.unit import ScalarVectorUnit
 from repro.workloads.registry import build_workload
 
 
@@ -53,13 +50,8 @@ def capture(workload_name: str, tech: TechniqueConfig | str = "svr16",
         tech = technique(tech)
     if tech.core != "inorder":
         raise ValueError("tracing supports the in-order core only")
-    workload = build_workload(workload_name, scale)
     bus = ProbeBus()
-    hierarchy = MemoryHierarchy(workload.memory, tech.memory, bus=bus)
-    svr = (ScalarVectorUnit(tech.svr, bus=bus)
-           if tech.svr is not None else None)
-    core = InOrderCore(workload.program, workload.memory, hierarchy,
-                       tech.core_config, svr=svr, bus=bus)
+    core = build_core(build_workload(workload_name, scale), tech, bus=bus)
     core.run(warmup)
 
     records: list[TraceRecord] = []

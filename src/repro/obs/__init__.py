@@ -52,7 +52,6 @@ from repro.obs.runlog import (
     RunLog,
     SelfProfile,
     make_record,
-    session_log_path,
 )
 from repro.obs.spans import (
     Span,
@@ -86,7 +85,6 @@ __all__ = [
     "install_standard_metrics",
     "make_record",
     "merge_typed_snapshots",
-    "session_log_path",
     "spans_to_trace_events",
     "typed_to_plain",
     "validate_trace",

@@ -35,11 +35,9 @@ TICKS_PER_CYCLE = 1.0
 
 _PID = 1
 _TRACKS = {
-    "core": 1,
     "svr": 2,
     "memory": 3,
     "dram": 4,
-    "tlb": 5,
 }
 
 

@@ -137,8 +137,3 @@ class RunLog:
                 raise
         return out
 
-
-def session_log_path(root: str | Path = "results/runlogs") -> Path:
-    """Default per-session log file: one JSONL per process under *root*."""
-    stamp = time.strftime("%Y%m%d-%H%M%S")
-    return Path(root) / f"session-{stamp}-{os.getpid()}.jsonl"

@@ -17,9 +17,10 @@ prints a single frame with no escape codes at all (scripts, CI logs).
 
 from __future__ import annotations
 
-import json
 import time
 from typing import Any, Callable, TextIO
+
+from repro.exec.journal import RunJournal
 
 _BAR_WIDTH = 22
 _SPARKS = "▁▂▃▄▅▆▇█"
@@ -137,27 +138,6 @@ def render_server_view(health: dict[str, Any],
 # Journal mode.
 # ---------------------------------------------------------------------------
 
-def load_journal_cells(path: str) -> list[dict[str, Any]]:
-    """Settled cell records from an exec/sweep journal, tolerant of
-    partial trailing lines (the journal may be mid-write)."""
-    cells: list[dict[str, Any]] = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    continue
-                if record.get("event") == "cell":
-                    cells.append(record)
-    except OSError:
-        return []
-    return cells
-
-
 def render_journal_view(path: str,
                         cells: list[dict[str, Any]]) -> str:
     ok = [c for c in cells if c.get("status") == "ok"]
@@ -206,7 +186,9 @@ def run_top(*, url: str | None = None, journal: str | None = None,
 
     def frame_text() -> str:
         if journal is not None:
-            return render_journal_view(journal, load_journal_cells(journal))
+            cells = [record for record in RunJournal(journal).records()
+                     if record.get("event") == "cell"]
+            return render_journal_view(journal, cells)
         from repro.serve.client import ServeClient, ServeClientError
         client = ServeClient(url, timeout_s=5.0)
         try:

@@ -7,11 +7,6 @@ control-flow masking, loop-bound prediction (EWMA / LBD / CV-scavenging /
 tournament), waiting mode, multi-chain handling and the accuracy monitor.
 """
 
-from repro.svr.chain import (
-    ChainRecorder,
-    LoadClass,
-    classify_detector_entries,
-)
 from repro.svr.config import LoopBoundPolicy, RecyclingPolicy, SVRConfig
 from repro.svr.stride_detector import StrideDetector, StrideEntry
 from repro.svr.taint_tracker import TaintTracker
@@ -23,9 +18,6 @@ from repro.svr.overhead import feature_matrix, overhead_bits, overhead_kib
 
 __all__ = [
     "AccuracyMonitor",
-    "ChainRecorder",
-    "LoadClass",
-    "classify_detector_entries",
     "LoopBoundPolicy",
     "LoopBoundUnit",
     "RecyclingPolicy",

@@ -40,7 +40,6 @@ from repro.isa.instructions import OpClass
 from repro.isa.registers import wrap64
 from repro.obs.probes import default_bus
 from repro.svr.accuracy import AccuracyMonitor
-from repro.svr.chain import ChainRecorder
 from repro.svr.config import SVRConfig
 from repro.svr.loop_bound import LoopBoundUnit
 from repro.svr.overhead import overhead_kib
@@ -95,7 +94,6 @@ class ScalarVectorUnit:
                                        cfg.accuracy_warmup_events,
                                        cfg.accuracy_reset_interval,
                                        cfg.accuracy_enabled)
-        self.chain_log = ChainRecorder()
         self.stats = SvrStats()
         # Opt-in dynamic oracle (repro.analysis.oracle.OracleRecorder).
         # When None — the default — every hook site pays one `is not None`
@@ -305,7 +303,6 @@ class ScalarVectorUnit:
             if length <= 0:
                 self.stats.rounds_skipped_zero_length += 1
                 return
-        self.chain_log.record_seed(entry.pc, entry.stride)
         oracle = self.oracle
         if oracle is not None:
             oracle.observe_stride_round(entry.pc, entry.stride)
@@ -365,8 +362,8 @@ class ScalarVectorUnit:
         opclass = inst.opclass
         tainted_srcs = [r for r in inst.srcs
                         if self.taint.is_tainted(r)]
-        if tainted_srcs:
-            self.chain_log.record_dependent(pc)
+        if tainted_srcs and self.oracle is not None:
+            self.oracle.observe_dependent(pc)
         vectorizable = bool(tainted_srcs) and all(
             self.taint.is_vectorizable(r) for r in tainted_srcs)
 

@@ -13,7 +13,7 @@ bases and sizes) differ — so they are keyed by bare kernel name.
 Fields per kernel:
 
 * ``striding`` / ``indirect`` — number of loads in each class
-  (:class:`~repro.svr.chain.LoadClass`); GAP kernels have no irregular
+  (:class:`~repro.analysis.LoadClass`); GAP kernels have no irregular
   or loop-invariant loads;
 * ``strides`` — the set of byte strides over all striding loads
   (8 = one 64-bit word per iteration; CC's 64 is its degree-8 edge

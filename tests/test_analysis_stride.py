@@ -20,7 +20,7 @@ class TestInductionVariables:
         program = gather_program(0x1000, 0x2000, 8)
         sa = analyze(program)
         loop = sa.cfg.loops[0]
-        ivs = sa.induction_variables(loop)
+        ivs = sa.memdep.induction_variables(loop)
         assert set(ivs) == {reg_index("t0")}
         assert ivs[reg_index("t0")].step == 1
 
@@ -50,7 +50,7 @@ class TestInductionVariables:
         b.bnez("t1", "loop")
         b.halt()
         sa = analyze(b.build())
-        assert sa.induction_variables(sa.cfg.loops[0]) == {}
+        assert sa.memdep.induction_variables(sa.cfg.loops[0]) == {}
 
 
 class TestClassification:

@@ -8,11 +8,9 @@ import pytest
 from repro.exec import (
     CRASH,
     HANG,
-    CellFailedError,
     ExecConfig,
     FaultPlan,
     FaultSpec,
-    InjectedCrash,
     ProgressConfig,
     ResultView,
     RunFailure,
@@ -95,24 +93,23 @@ class TestExecConfigValidation:
             ExecConfig(resume=True)
 
     def test_timeout_requires_isolation(self):
-        with pytest.raises(ValueError, match="isolation"):
-            ExecConfig(timeout_s=1.0, isolate=False)
+        # A wall-clock kill needs a worker process to kill.
+        assert ExecConfig(timeout_s=1.0).isolate
 
     def test_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
             ExecConfig(jobs=0)
 
     def test_auto_isolation(self):
-        assert not ExecConfig().effective_isolate
-        assert ExecConfig(jobs=2).effective_isolate
-        assert ExecConfig(timeout_s=1.0).effective_isolate
-        assert ExecConfig(jobs=4, isolate=False).effective_isolate is False
+        assert not ExecConfig().isolate
+        assert ExecConfig(jobs=2).isolate
+        assert ExecConfig(timeout_s=1.0).isolate
+        assert ExecConfig(jobs=1, timeout_s=None).isolate is False
 
     def test_backoff_is_bounded(self):
-        cfg = ExecConfig(backoff_s=1.0, backoff_factor=10.0,
-                         max_backoff_s=3.0)
-        assert cfg.backoff_delay(1) == 1.0
-        assert cfg.backoff_delay(2) == 3.0
+        cfg = ExecConfig(backoff_s=1.0, max_backoff_s=3.0)
+        assert [cfg.backoff_delay(a) for a in (1, 2, 3, 4)] == [
+            1.0, 2.0, 3.0, 3.0]
 
 
 class TestInlineExecution:
@@ -151,12 +148,6 @@ class TestInlineExecution:
         (outcome,) = report.outcomes
         assert outcome.ok
         assert outcome.attempts == 2
-
-    def test_strict_mode_raises_original_exception(self):
-        plan = FaultPlan(specs=(FaultSpec(),))
-        with pytest.raises(InjectedCrash):
-            run_cells([_spec()],
-                      _quiet(faults=plan, retries=0, salvage=False))
 
     def test_unexpected_exception_keeps_its_traceback(self, monkeypatch):
         import repro.exec.spec as spec_module
@@ -197,14 +188,6 @@ class TestIsolatedExecution:
         (failure,) = report.failures
         assert failure.kind == HANG
         assert "timeout" in failure.message
-
-    def test_strict_mode_raises_cell_failed(self):
-        plan = FaultPlan(specs=(FaultSpec(),))
-        with pytest.raises(CellFailedError) as excinfo:
-            run_cells([_spec()],
-                      _quiet(jobs=2, retries=0, faults=plan,
-                             salvage=False))
-        assert excinfo.value.failure.kind == CRASH
 
     def test_warm_worker_runs_every_cell_like_inline(self):
         specs = [_spec(), _spec(tech="svr16"), _spec(workload="HJ2",

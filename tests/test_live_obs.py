@@ -185,7 +185,7 @@ class TestExecutorProgress:
         seen = []
         bus.subscribe("exec.progress", lambda _n, ev: seen.append(ev))
         spec = RunSpec.make("PR_KR", "svr16", scale="tiny")
-        config = ExecConfig(jobs=1, isolate=True, bus=bus,
+        config = ExecConfig(jobs=1, timeout_s=60.0, bus=bus,
                             progress=ProgressConfig(interval=200,
                                                     min_interval_s=0.0))
         report = run_cells([spec], config)

@@ -3,9 +3,22 @@
 import pytest
 
 from repro.harness.multicore import MulticoreResult, run_multicore, scaling_study
+from repro.harness.runner import run
 
 
 class TestRunMulticore:
+    @pytest.mark.parametrize("tech", ["inorder", "imp", "ooo", "svr16", "vr"])
+    def test_one_core_equals_run(self, tech):
+        # One core over its own DRAM channel is the single-core run: the
+        # same technique must build the same core, SVR or VR unit included.
+        multi = run_multicore(["Camel"], tech, scale="tiny", warmup=1_000,
+                              measure=3_000)
+        single = run("Camel", tech, scale="tiny", warmup=1_000,
+                     measure=3_000)
+        (stats,) = multi.per_core
+        assert stats.instructions == single.core.instructions
+        assert stats.cycles == single.core.cycles
+
     def test_single_core_matches_shape_of_runner(self):
         result = run_multicore(["Camel"], "inorder", scale="tiny",
                                warmup=500, measure=2000)

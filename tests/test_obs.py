@@ -515,13 +515,19 @@ class TestChromeTrace:
         builder = ChromeTraceBuilder()
         builder.attach(bus)
         self._emit_episode(bus)
+        bus.probe("mem.load").emit(level="dram", time=110.0,
+                                   completion=200.0, addr=64, pc=5)
         builder.detach()
         path = builder.write(tmp_path / "out" / "trace.json")
         trace = json.loads(path.read_text())
         assert validate_trace(trace) == []
-        names = {ev["args"]["name"] for ev in trace["traceEvents"]
-                 if ev["ph"] == "M" and ev["name"] == "thread_name"}
-        assert {"core", "svr", "memory", "dram", "tlb"} <= names
+        tracks = {ev["tid"]: ev["args"]["name"]
+                  for ev in trace["traceEvents"]
+                  if ev["ph"] == "M" and ev["name"] == "thread_name"}
+        assert set(tracks.values()) == {"svr", "memory", "dram"}
+        # Every named track carries at least one event.
+        busy = {ev["tid"] for ev in trace["traceEvents"] if ev["ph"] != "M"}
+        assert set(tracks) <= busy
 
     def test_validate_trace_flags_malformed(self):
         assert validate_trace({}) == ["traceEvents is not a list"]

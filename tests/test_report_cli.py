@@ -108,3 +108,29 @@ class TestSweepTelemetryFlags:
                      "--no-telemetry"]) == 0
         err = capsys.readouterr().err
         assert "telemetry:" not in err
+
+
+class TestCorruptJournal:
+    def test_report_and_top_warn_and_keep_both_cells(self, tmp_path,
+                                                     capsys):
+        cell = {"event": "cell", "scale": "tiny", "technique": "svr16",
+                "status": "ok", "attempts": 1, "elapsed_s": 0.5}
+        path = tmp_path / "torn.jsonl"
+        path.write_text("\n".join([
+            json.dumps(dict(cell, key="k1", workload="Camel")),
+            "{ torn mid-file",
+            json.dumps(dict(cell, key="k2", workload="HJ2")),
+        ]) + "\n")
+        message = "skipping corrupt record at line 2"
+
+        with pytest.warns(RuntimeWarning, match=message):
+            assert main(["report", "--journal", str(path),
+                         "-o", str(tmp_path / "r.html"), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [c["workload"] for c in data["cells"]] == ["Camel", "HJ2"]
+
+        with pytest.warns(RuntimeWarning, match=message):
+            assert main(["top", "--journal", str(path), "--once"]) == 0
+        out = capsys.readouterr().out
+        assert "settled 2 cell(s): 2 ok" in out
+        assert "Camel/svr16" in out and "HJ2/svr16" in out

@@ -8,23 +8,30 @@ flow-insensitively and never untaints — so containment, not equality, is
 the invariant.  Equality cannot hold in general: runahead rounds see only
 a window of the execution, and the dynamic tracker untaints registers
 that are overwritten with clean values.
+
+The dynamic side is read from an :class:`OracleRecorder` attached to the
+SVR unit: ``round_strides`` (the strides each seed's PRM rounds used) and
+``dependents`` (every pc that read a tainted register in PRM).
 """
 
 import pytest
 
-from repro.analysis import LoadClass, StrideAnalysis, build_cfg, taint_chain
-from repro.svr.config import SVRConfig
+from repro.analysis import (
+    LoadClass,
+    StrideAnalysis,
+    build_cfg,
+    collect_trace,
+    taint_chain,
+)
 from repro.workloads.registry import GAP_KERNELS, build_workload
 
-from conftest import build_gather_workload, make_inorder
+from conftest import build_gather_workload
 
 RUN_STEPS = 20_000
 
 
 def run_dynamic(program, memory, steps=RUN_STEPS):
-    core, _, unit = make_inorder(program, memory, svr=SVRConfig())
-    core.run(steps)
-    return unit
+    return collect_trace(program, memory, max_steps=steps)
 
 
 def static_tools(program):
@@ -33,14 +40,14 @@ def static_tools(program):
     return cfg, {info.pc: info for info in analysis.loads()}
 
 
-def assert_dynamic_subset_of_static(program, unit, name):
+def assert_dynamic_subset_of_static(program, oracle, name):
     cfg, loads = static_tools(program)
-    seeds = unit.chain_log.seed_pcs
+    seeds = set(oracle.round_strides)
     assert seeds, f"{name}: SVR never seeded a chain in {RUN_STEPS} steps"
     static_union = set(seeds)
     for pc in seeds:
         static_union |= taint_chain(cfg, pc).chain_pcs
-    escaped = unit.chain_log.dependents - static_union
+    escaped = oracle.dependents - static_union
     assert not escaped, (
         f"{name}: dynamic chain pcs {sorted(escaped)} missing from the "
         f"static chains of seeds {sorted(seeds)}")
@@ -50,9 +57,9 @@ def assert_dynamic_subset_of_static(program, unit, name):
 class TestGather:
     def test_gather_dynamic_chain_is_subset(self):
         program, memory = build_gather_workload()
-        unit = run_dynamic(program, memory)
+        oracle = run_dynamic(program, memory)
         loads, seeds = assert_dynamic_subset_of_static(
-            program, unit, "gather")
+            program, oracle, "gather")
         # The striding index load is the (only) seed, statically and
         # dynamically.
         assert seeds == {7}
@@ -60,24 +67,24 @@ class TestGather:
 
     def test_gather_strides_agree(self):
         program, memory = build_gather_workload()
-        unit = run_dynamic(program, memory)
+        oracle = run_dynamic(program, memory)
         _, loads = static_tools(program)
-        assert unit.chain_log.seeds[7] == {loads[7].stride}
+        assert oracle.round_strides[7] == {loads[7].stride}
 
 
 @pytest.mark.parametrize("kernel", GAP_KERNELS)
 class TestGapKernels:
     def test_dynamic_chain_is_subset_of_static(self, kernel):
         workload = build_workload(f"{kernel}_KR", scale="tiny")
-        unit = run_dynamic(workload.program, workload.memory)
-        assert_dynamic_subset_of_static(workload.program, unit, kernel)
+        oracle = run_dynamic(workload.program, workload.memory)
+        assert_dynamic_subset_of_static(workload.program, oracle, kernel)
 
     def test_strides_agree_on_static_striding_seeds(self, kernel):
         workload = build_workload(f"{kernel}_KR", scale="tiny")
-        unit = run_dynamic(workload.program, workload.memory)
+        oracle = run_dynamic(workload.program, workload.memory)
         _, loads = static_tools(workload.program)
         overlap = 0
-        for pc, observed_strides in unit.chain_log.seeds.items():
+        for pc, observed_strides in oracle.round_strides.items():
             info = loads.get(pc)
             if info is None or info.load_class is not LoadClass.STRIDING:
                 # A statically indirect load can look striding for a
