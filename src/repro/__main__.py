@@ -13,11 +13,9 @@ Commands
 ``lint TARGET... | --all``        static analysis: diagnostics, load
                                   classes and SVR chain estimates for
                                   workloads or ``.s`` files
-``bench [options]``               self-benchmark the simulator's hot
+``bench [options]``               microbenchmark the simulator's hot
                                   paths; write a ``BENCH_*.json``
-                                  trajectory artifact and optionally
-                                  compare/gate against the latest prior
-                                  one
+                                  trajectory artifact
 ``report [options]``              self-contained HTML dashboard from
                                   exec journals, run logs and
                                   ``BENCH_*.json`` trajectory files
@@ -69,8 +67,7 @@ Examples::
     python -m repro overhead 128 8
     python -m repro lint PR_KR kernel.s
     python -m repro lint --all --json
-    python -m repro bench --quick
-    python -m repro bench --compare --gate --profile
+    python -m repro bench
     python -m repro bench --only 'mem.*' --reps 7 --json
     python -m repro sweep svr16 --workloads Camel --axis svr.srf_entries=2,8 \\
         --jobs 2 --journal results/sweep.jsonl --trace results/sweep-trace.json
@@ -635,8 +632,7 @@ def _cmd_analyze(args) -> int:
 def _render_bench_table(summary: dict) -> str:
     benches = summary["benchmarks"]
     width = max(len(name) for name in benches)
-    lines = [f"self-benchmark ({'quick' if summary['quick'] else 'full'}, "
-             f"{summary['repetitions']} repetitions each):"]
+    lines = [f"self-benchmark ({summary['repetitions']} repetitions each):"]
     for name, entry in benches.items():
         if "error" in entry:
             lines.append(f"  {name:<{width}}  ERROR {entry['error']}")
@@ -645,84 +641,29 @@ def _render_bench_table(summary: dict) -> str:
         lines.append(
             f"  {name:<{width}}  {thr['median']:>12.1f} ±{thr['mad']:>10.1f}"
             f" {entry['unit']}/s   wall {entry['wall_s']['median']:.3f}s")
-        for spot in entry.get("hotspots", [])[:3]:
-            lines.append(f"  {'':<{width}}    hot: {spot['site']} "
-                         f"cum {spot['cumtime_s']:.3f}s")
     return "\n".join(lines)
 
 
 def _cmd_bench(args) -> int:
-    from dataclasses import asdict
-
-    from repro.bench import (
-        BenchConfig,
-        compare,
-        environment_mismatch,
-        gate,
-        latest_artifact,
-        load_artifact,
-        render_comparison,
-        run_benchmarks,
-        write_artifact,
-    )
+    from repro.bench import run_benchmarks, write_artifact
 
     try:
-        config = BenchConfig(
-            quick=args.quick, repetitions=args.reps or None,
-            profile=args.profile, profile_top=args.profile_top,
-            only=tuple(args.only), timeout_s=args.timeout or None)
-        summary = run_benchmarks(config)
+        summary = run_benchmarks(tuple(args.only), args.reps)
     except ValueError as exc:
         print(f"bench: {exc}", file=sys.stderr)
         return 2
     path = write_artifact(summary, args.dir)
-    errors = [name for name, entry in summary["benchmarks"].items()
-              if "error" in entry]
-
-    deltas = None
-    baseline_path = None
-    note = ""
-    if args.compare or args.gate:
-        baseline_path = latest_artifact(args.dir, exclude=path)
-        if baseline_path is None:
-            print("bench: no prior BENCH_*.json to compare against; "
-                  f"{path.name} is the first trajectory point",
-                  file=sys.stderr)
-        else:
-            baseline = load_artifact(baseline_path)
-            deltas = compare(summary, baseline,
-                             rel_tolerance=args.threshold)
-            note = environment_mismatch(summary, baseline)
-
     if args.json:
-        payload = {"artifact": str(path), **summary}
-        if deltas is not None:
-            payload["baseline"] = str(baseline_path)
-            payload["comparison"] = [asdict(d) for d in deltas]
-        print(json.dumps(payload, indent=2, sort_keys=True, default=str))
+        print(json.dumps({"artifact": str(path), **summary}, indent=2,
+                         sort_keys=True))
     else:
         print(_render_bench_table(summary))
-        if deltas is not None:
-            print("\n" + render_comparison(deltas, baseline_path,
-                                           environment_note=note))
     print(f"bench artifact written to {path}", file=sys.stderr)
-    if args.jsonl:
-        from repro.obs import RunLog, make_record
-
-        record_fields = {k: summary[k] for k in
-                         ("quick", "repetitions", "environment", "profile",
-                          "benchmarks")}
-        if deltas is not None:
-            record_fields["comparison"] = [asdict(d) for d in deltas]
-        RunLog(args.jsonl).append(make_record(
-            "bench", artifact=str(path), **record_fields))
-        print(f"bench record appended to {args.jsonl}", file=sys.stderr)
+    errors = [name for name, entry in summary["benchmarks"].items()
+              if "error" in entry]
     if errors:
         print(f"bench: {len(errors)} benchmark(s) failed to run: "
               f"{', '.join(errors)}", file=sys.stderr)
-        return 1
-    if args.gate and deltas is not None and not gate(deltas):
-        print("bench: regression gate FAILED", file=sys.stderr)
         return 1
     return 0
 
@@ -1007,42 +948,19 @@ def main(argv: list[str] | None = None) -> int:
                        help="append a structured analyze record to PATH")
 
     bench_p = sub.add_parser(
-        "bench", help="self-benchmark the simulator; write a BENCH_*.json "
-                      "trajectory artifact")
-    bench_p.add_argument("--quick", action="store_true",
-                         help="CI-friendly sizes and repetition counts")
-    bench_p.add_argument("--reps", type=int, default=0, metavar="N",
-                         help="repetitions per benchmark (default: 3 "
-                              "quick / 5 full; minimum 2)")
+        "bench", help="microbenchmark the simulator's hot paths; write a "
+                      "BENCH_*.json trajectory artifact")
     bench_p.add_argument("--only", action="append", default=[],
                          metavar="PATTERN",
                          help="run only benchmarks matching this fnmatch "
                               "pattern (repeatable)")
-    bench_p.add_argument("--compare", action="store_true",
-                         help="compare against the latest prior "
-                              "BENCH_*.json in --dir")
-    bench_p.add_argument("--gate", action="store_true",
-                         help="with --compare: exit 1 on any MAD-scaled "
-                              "regression (implies --compare)")
-    bench_p.add_argument("--threshold", type=float, default=0.25,
-                         metavar="FRAC",
-                         help="relative regression floor for the gate "
-                              "(default 0.25)")
-    bench_p.add_argument("--profile", action="store_true",
-                         help="cProfile one extra repetition per "
-                              "benchmark; embed top-N hot spots")
-    bench_p.add_argument("--profile-top", type=int, default=15, metavar="N",
-                         help="hot-spot entries kept per benchmark")
-    bench_p.add_argument("--timeout", type=float, default=0.0,
-                         metavar="SECONDS",
-                         help="route e2e.* cells through the resilient "
-                              "executor with this kill fence")
+    bench_p.add_argument("--reps", type=int, default=5, metavar="N",
+                         help="repetitions per benchmark (default: 5; "
+                              "minimum 2)")
     bench_p.add_argument("--dir", default=".", metavar="PATH",
                          help="trajectory directory (default: repo root)")
     bench_p.add_argument("--json", action="store_true",
                          help="print machine-readable JSON instead of text")
-    bench_p.add_argument("--jsonl", default="", metavar="PATH",
-                         help="append a structured bench record to PATH")
 
     report_p = sub.add_parser(
         "report", help="self-contained HTML dashboard from journals, "

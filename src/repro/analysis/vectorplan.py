@@ -181,8 +181,11 @@ def _plan_loop(loop: Loop, cfg: CFG, memdep: MemDepAnalysis,
             "no-striding-seed",
             "no confidently striding load anchors an SVR chain here"))
 
+    # The reading classify_load gives IRREGULAR: varying and fed by no
+    # in-loop load (a load-fed varying address is INDIRECT on its seed).
     irregular_loads = tuple(a.pc for a in deps.accesses
-                            if not a.is_store and a.expr.kind == "varying")
+                            if not a.is_store and a.expr.kind == "varying"
+                            and not a.expr.loads)
     if irregular_loads:
         reasons.append(PlanReason(
             "irregular-load",

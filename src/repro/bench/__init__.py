@@ -1,45 +1,27 @@
-"""Self-benchmarking: the simulator measuring its own performance.
+"""Self-benchmarking: seven microbenchmarks of the simulator's hot paths.
 
-Three pieces (design rationale in ``docs/observability.md``):
+Two pieces:
 
-* :mod:`repro.bench.registry` + :mod:`repro.bench.micro` — a registry of
-  microbenchmarks over the simulator's hot paths (core stepping, SVR PRM
-  rounds, cache/TLB/DRAM models, the assembler, end-to-end cells routed
-  through :func:`repro.exec.run_cells`);
-* :mod:`repro.bench.runner`  — repetition loop, median/MAD statistics,
-  environment capture, opt-in cProfile hot-spot attribution, and the
-  schema-versioned ``BENCH_<utcstamp>.json`` trajectory artifacts;
-* :mod:`repro.bench.compare` — the comparison engine that confronts a
-  run with the latest prior artifact and gates on MAD-scaled
-  regressions (``repro bench --compare --gate``).
+* :mod:`repro.bench.micro`  — the benchmarks, one literal tuple; each
+  stays inside one layer of perfbench's traced ledger (core stepping,
+  SVR PRM rounds, cache/TLB/DRAM models, the assembler);
+* :mod:`repro.bench.runner` — repetition loop, median/MAD statistics,
+  environment capture and the schema-versioned ``BENCH_<utcstamp>.json``
+  trajectory artifacts that ``repro report`` draws.
+
+End-to-end throughput, and whether a change made it worse, is measured
+by ``perfbench/run.py`` alone (``docs/performance.md``).
 """
 
 from __future__ import annotations
 
-from repro.bench.compare import (
-    Delta,
-    compare,
-    environment_mismatch,
-    find_artifacts,
-    gate,
-    latest_artifact,
-    load_artifact,
-    render_comparison,
-)
-from repro.bench.registry import (
-    BenchContext,
+from repro.bench.micro import (
+    BENCHMARKS,
     Benchmark,
     Work,
-    all_benchmarks,
-    benchmark_names,
-    get_benchmark,
-    register,
     select_benchmarks,
 )
 from repro.bench.runner import (
-    ARTIFACT_GLOB,
-    BenchConfig,
-    BenchOutcome,
     capture_environment,
     git_sha,
     mad,
@@ -50,28 +32,13 @@ from repro.bench.runner import (
 )
 
 __all__ = [
-    "ARTIFACT_GLOB",
-    "BenchConfig",
-    "BenchContext",
-    "BenchOutcome",
+    "BENCHMARKS",
     "Benchmark",
-    "Delta",
     "Work",
-    "all_benchmarks",
-    "benchmark_names",
     "capture_environment",
-    "compare",
-    "environment_mismatch",
-    "find_artifacts",
-    "gate",
-    "get_benchmark",
     "git_sha",
-    "latest_artifact",
-    "load_artifact",
     "mad",
     "median",
-    "register",
-    "render_comparison",
     "run_benchmarks",
     "run_one",
     "select_benchmarks",

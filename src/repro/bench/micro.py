@@ -1,28 +1,29 @@
-"""The microbenchmark catalogue: hot paths of the simulator itself.
+"""The microbenchmark catalogue: seven hot paths of the simulator itself.
 
-Nine benchmarks across five groups, registered with
-:mod:`repro.bench.registry` at import time:
+Each benchmark stays inside one layer of the traced ledger
+(``perfbench/run.py --trace 1``), so its throughput moves only when
+that layer's code does:
 
 * ``core.*``  — in-order and out-of-order core stepping over a real
   workload (build + warmup in setup, only the measured window is timed);
 * ``svr.*``   — the SVR unit driving PRM rounds on an in-order core;
 * ``mem.*``   — the cache hierarchy, the TLB + page-table-walker pool and
   the DRAM interval scheduler, driven directly with synthetic streams;
-* ``isa.*``   — the text assembler;
-* ``e2e.*``   — whole simulation cells routed through
-  :func:`repro.exec.run_cells`, so they inherit the resilient executor's
-  kill fences and fault isolation (and measure its dispatch overhead).
+* ``isa.*``   — the text assembler.
 
-Work sizes shrink under ``BenchContext.quick`` so ``repro bench --quick``
-stays CI-friendly while exercising the identical code paths.
+Whole cells are perfbench's to measure (``perfbench/run.py``); nothing
+here times one end to end.
 """
 
 from __future__ import annotations
 
-from repro.bench.registry import BenchContext, Work, register
+import fnmatch
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable
+
 from repro.cores.inorder import InOrderCore
 from repro.cores.ooo import OutOfOrderCore
-from repro.exec import RunSpec, run_cells
 from repro.isa import assembler
 from repro.memory.dram import DramModel
 from repro.memory.hierarchy import MemoryHierarchy
@@ -32,14 +33,46 @@ from repro.svr.config import SVRConfig
 from repro.svr.unit import ScalarVectorUnit
 from repro.workloads.registry import build_workload
 
+
+@dataclass(frozen=True)
+class Work:
+    """What one repetition accomplished (the runner adds wall time).
+
+    ``units`` is the benchmark's own progress measure (committed
+    instructions, accesses, assembled instructions, ...) and is the basis
+    of the throughput every benchmark reports.  ``sim_cycles`` /
+    ``instructions`` feed the simulated-cycles-per-second and
+    instructions-per-second metrics and are ``None`` for benchmarks with
+    no simulated clock (the assembler).
+    """
+
+    units: float
+    sim_cycles: float | None = None
+    instructions: int | None = None
+
+
+@dataclass(frozen=True)
+class Benchmark:
+    """One microbenchmark.  ``setup`` builds fresh state and returns the
+    closure the runner times, so build cost never pollutes a repetition."""
+
+    name: str                 # dotted id; the first part is its group
+    unit: str                 # what Work.units counts
+    description: str
+    setup: Callable[[], Callable[[], Work]]
+
+    @property
+    def group(self) -> str:
+        return self.name.partition(".")[0]
+
+
 _WARMUP = 400
+_MEASURE = 6_000
 
 
-def _core_setup(ctx: BenchContext, workload: str, *,
-                svr_length: int | None = None, ooo: bool = False):
-    """Shared builder for the core-stepping benchmarks."""
-    measure = 1_500 if ctx.quick else 6_000
-    wl = build_workload(workload, "tiny")
+def _core_setup(*, svr_length: int | None = None, ooo: bool = False):
+    """Shared builder for the core-stepping benchmarks (Camel, tiny)."""
+    wl = build_workload("Camel", "tiny")
     hierarchy = MemoryHierarchy(wl.memory)
     if ooo:
         core = OutOfOrderCore(wl.program, wl.memory, hierarchy)
@@ -51,7 +84,7 @@ def _core_setup(ctx: BenchContext, workload: str, *,
     core.reset_stats()
 
     def rep() -> Work:
-        core.run(measure)
+        core.run(_MEASURE)
         stats = core.stats
         return Work(units=stats.instructions, sim_cycles=stats.cycles,
                     instructions=stats.instructions)
@@ -59,30 +92,8 @@ def _core_setup(ctx: BenchContext, workload: str, *,
     return rep
 
 
-@register("core.inorder.step", group="core", unit="instructions",
-          description="in-order core stepping (Camel, tiny scale)")
-def _bench_inorder(ctx: BenchContext):
-    return _core_setup(ctx, "Camel")
-
-
-@register("core.ooo.step", group="core", unit="instructions",
-          description="out-of-order core stepping (Camel, tiny scale)")
-def _bench_ooo(ctx: BenchContext):
-    return _core_setup(ctx, "Camel", ooo=True)
-
-
-@register("svr.prm.rounds", group="svr", unit="instructions",
-          description="in-order core + SVR16 unit: PRM rounds, SVI "
-                      "issue, taint/stride training (Camel)")
-def _bench_svr(ctx: BenchContext):
-    return _core_setup(ctx, "Camel", svr_length=16)
-
-
-@register("mem.cache.access", group="mem", unit="accesses",
-          description="L1/L2/MSHR demand loads over a mixed "
-                      "sequential/strided address stream")
-def _bench_cache(ctx: BenchContext):
-    accesses = 2_000 if ctx.quick else 8_000
+def _cache_setup():
+    accesses = 8_000
     memory = MainMemory(capacity_bytes=1 << 22)
     base = memory.alloc_array([0] * 8_192)
     hierarchy = MemoryHierarchy(memory)
@@ -106,11 +117,8 @@ def _bench_cache(ctx: BenchContext):
     return rep
 
 
-@register("mem.tlb.translate", group="mem", unit="translations",
-          description="D-TLB/S-TLB lookups with page-table walks "
-                      "through the DRAM model")
-def _bench_tlb(ctx: BenchContext):
-    translations = 2_000 if ctx.quick else 8_000
+def _tlb_setup():
+    translations = 8_000
     tlb = TlbHierarchy(DramModel(), dtlb_entries=16, stlb_entries=64,
                        walkers=4)
 
@@ -126,11 +134,8 @@ def _bench_tlb(ctx: BenchContext):
     return rep
 
 
-@register("mem.dram.schedule", group="mem", unit="accesses",
-          description="DRAM busy-interval scheduling under heavy "
-                      "bandwidth contention")
-def _bench_dram(ctx: BenchContext):
-    accesses = 3_000 if ctx.quick else 12_000
+def _dram_setup():
+    accesses = 12_000
     dram = DramModel()
 
     def rep() -> Work:
@@ -166,47 +171,53 @@ def _assembler_source() -> str:
     return "li a0, 0x10000\nli a1, 0x20000\n" + "".join(blocks) + "\nhalt\n"
 
 
-@register("isa.assemble", group="isa", unit="instructions",
-          description="text assembler over a 130-line synthetic kernel")
-def _bench_assemble(ctx: BenchContext):
-    repeats = 4 if ctx.quick else 16
+def _assemble_setup():
+    repeats = 16
     source = _assembler_source()
 
     def rep() -> Work:
         assembled = 0
         for _ in range(repeats):
-            # Late-bound module attribute so a monkeypatched hot path is
-            # measured (the regression-gate test relies on this).
             assembled += len(assembler.assemble(source, name="bench"))
         return Work(units=assembled)
 
     return rep
 
 
-def _cell_setup(ctx: BenchContext, workload: str, technique: str):
-    """End-to-end cell through the resilient executor."""
-    spec = RunSpec.make(workload, technique, scale="tiny")
+# Sorted by name, the order runs and tables use.
+BENCHMARKS = (
+    Benchmark("core.inorder.step", "instructions",
+              "in-order core stepping (Camel, tiny scale)", _core_setup),
+    Benchmark("core.ooo.step", "instructions",
+              "out-of-order core stepping (Camel, tiny scale)",
+              partial(_core_setup, ooo=True)),
+    Benchmark("isa.assemble", "instructions",
+              "text assembler over a 130-line synthetic kernel",
+              _assemble_setup),
+    Benchmark("mem.cache.access", "accesses",
+              "L1/L2/MSHR demand loads over a mixed sequential/strided "
+              "address stream", _cache_setup),
+    Benchmark("mem.dram.schedule", "accesses",
+              "DRAM busy-interval scheduling under heavy bandwidth "
+              "contention", _dram_setup),
+    Benchmark("mem.tlb.translate", "translations",
+              "D-TLB/S-TLB lookups with page-table walks through the "
+              "DRAM model", _tlb_setup),
+    Benchmark("svr.prm.rounds", "instructions",
+              "in-order core + SVR16 unit: PRM rounds, SVI issue, "
+              "taint/stride training (Camel)",
+              partial(_core_setup, svr_length=16)),
+)
 
-    def rep() -> Work:
-        report = run_cells([spec], ctx.exec_config)
-        outcome = report.outcomes[0]
-        if not outcome.ok:
-            raise RuntimeError(f"benchmark cell failed: {outcome.failure}")
-        view = outcome.view
-        return Work(units=view.instructions, sim_cycles=view.cycles,
-                    instructions=view.instructions)
 
-    return rep
-
-
-@register("e2e.camel.svr16", group="e2e", unit="instructions",
-          description="full Camel/svr16 tiny cell via exec.run_cells "
-                      "(build + warmup + measure + export)")
-def _bench_e2e_svr(ctx: BenchContext):
-    return _cell_setup(ctx, "Camel", "svr16")
-
-
-@register("e2e.prkr.inorder", group="e2e", unit="instructions",
-          description="full PR_KR/inorder tiny cell via exec.run_cells")
-def _bench_e2e_inorder(ctx: BenchContext):
-    return _cell_setup(ctx, "PR_KR", "inorder")
+def select_benchmarks(patterns: tuple[str, ...] = ()) -> list[Benchmark]:
+    """Benchmarks whose name matches any fnmatch *pattern* (all if none)."""
+    if not patterns:
+        return list(BENCHMARKS)
+    chosen = [b for b in BENCHMARKS
+              if any(fnmatch.fnmatch(b.name, p) for p in patterns)]
+    if not chosen:
+        raise ValueError(
+            f"no benchmark matches {patterns!r}; known: "
+            f"{', '.join(b.name for b in BENCHMARKS)}")
+    return chosen

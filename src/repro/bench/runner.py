@@ -3,45 +3,28 @@
 :func:`run_benchmarks` executes the selected microbenchmarks, timing
 each repetition with ``time.perf_counter`` around a fresh ``setup``
 (build cost never pollutes the measurement), and summarises throughput
-as median/MAD across repetitions — the robust pair the regression
-comparator (:mod:`repro.bench.compare`) scales its thresholds by.
+as median/MAD across repetitions.
 
 :func:`write_artifact` serialises the summary as a schema-versioned
 ``BENCH_<utcstamp>.json`` at the repository root (or any directory),
 with the environment captured (Python, platform, CPU count, git SHA) so
-trajectory points from different machines are distinguishable.  The
-per-benchmark wall-clock sections accumulate into a
-:class:`~repro.obs.runlog.SelfProfile` and the summary doubles as a
-run-log record body (``kind="bench"``), so bench results live in the
-same JSONL stream as ordinary runs.
-
-With ``profile=True`` one extra (untimed) repetition per benchmark runs
-under :mod:`cProfile`; its top-N cumulative entries are embedded in the
-artifact next to the wall-clock stats, putting Python-level hot spots
-and sections side by side.
+trajectory points from different machines are distinguishable.
 """
 
 from __future__ import annotations
 
-import cProfile
+import json
 import os
 import platform
 import subprocess
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.bench.registry import (
-    Benchmark,
-    BenchContext,
-    select_benchmarks,
-)
-from repro.exec import ExecConfig
-from repro.obs.runlog import SelfProfile
+from repro.bench.micro import Benchmark, select_benchmarks
 
 SCHEMA_VERSION = 1
-ARTIFACT_GLOB = "BENCH_*.json"
+REPETITIONS = 5
 
 
 def median(values: list[float]) -> float:
@@ -66,114 +49,38 @@ def _stat(values: list[float]) -> dict[str, float]:
             "min": round(min(values), 6), "max": round(max(values), 6)}
 
 
-@dataclass
-class BenchConfig:
-    """Knobs for one :func:`run_benchmarks` invocation."""
-
-    quick: bool = False
-    repetitions: int | None = None    # None -> 3 quick / 5 full
-    profile: bool = False
-    profile_top: int = 15
-    only: tuple[str, ...] = ()        # fnmatch patterns over bench names
-    timeout_s: float | None = None    # kill fence for e2e.* cells
-    exec_config: ExecConfig | None = None
-
-    @property
-    def effective_repetitions(self) -> int:
-        if self.repetitions is not None:
-            if self.repetitions < 2:
-                raise ValueError("BenchConfig.repetitions must be >= 2 "
-                                 "(MAD needs at least two samples)")
-            return self.repetitions
-        return 3 if self.quick else 5
-
-    def context(self) -> BenchContext:
-        exec_config = self.exec_config
-        if exec_config is None:
-            exec_config = ExecConfig(timeout_s=self.timeout_s)
-        return BenchContext(quick=self.quick, exec_config=exec_config)
-
-
-@dataclass
-class BenchOutcome:
-    """One benchmark's measured repetitions (or its failure)."""
-
-    bench: Benchmark
-    wall_s: list[float] = field(default_factory=list)
-    units: float | None = None
-    sim_cycles: float | None = None
-    instructions: int | None = None
-    hotspots: list[dict[str, Any]] | None = None
-    error: str | None = None
-
-    def summary(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "group": self.bench.group,
-            "unit": self.bench.unit,
-            "description": self.bench.description,
-        }
-        if self.error is not None:
-            out["error"] = self.error
-            return out
-        throughput = [self.units / w for w in self.wall_s]
-        out.update({
-            "repetitions": len(self.wall_s),
-            "units": self.units,
-            "sim_cycles": self.sim_cycles,
-            "instructions": self.instructions,
-            "wall_s": _stat(self.wall_s),
-            "throughput": _stat(throughput),
-        })
-        if self.sim_cycles is not None:
-            out["sim_cycles_per_s"] = _stat(
-                [self.sim_cycles / w for w in self.wall_s])
-        if self.instructions is not None:
-            out["instr_per_s"] = _stat(
-                [self.instructions / w for w in self.wall_s])
-        if self.hotspots is not None:
-            out["hotspots"] = self.hotspots
-        return out
-
-
-def _hotspots(prof: cProfile.Profile, top: int) -> list[dict[str, Any]]:
-    prof.create_stats()
-    entries = []
-    for (filename, lineno, func), (_cc, ncalls, tottime, cumtime,
-                                   _callers) in prof.stats.items():
-        entries.append({
-            "site": f"{os.path.basename(filename)}:{lineno}:{func}",
-            "ncalls": ncalls,
-            "tottime_s": round(tottime, 6),
-            "cumtime_s": round(cumtime, 6),
-        })
-    entries.sort(key=lambda e: (-e["cumtime_s"], e["site"]))
-    return entries[:top]
-
-
-def run_one(bench: Benchmark, config: BenchConfig) -> BenchOutcome:
-    """Run every repetition of one benchmark; never raises on bench
-    failure — the error is recorded so the remaining benchmarks run."""
-    outcome = BenchOutcome(bench=bench)
-    ctx = config.context()
+def run_one(bench: Benchmark,
+            repetitions: int = REPETITIONS) -> dict[str, Any]:
+    """Run every repetition of one benchmark and summarise it; never
+    raises on bench failure — the error is recorded so the remaining
+    benchmarks run."""
+    entry: dict[str, Any] = {"group": bench.group, "unit": bench.unit,
+                             "description": bench.description}
+    wall_s: list[float] = []
     try:
-        for _ in range(config.effective_repetitions):
-            rep = bench.setup(ctx)
+        for _ in range(repetitions):
+            rep = bench.setup()
             start = time.perf_counter()
             work = rep()
-            outcome.wall_s.append(time.perf_counter() - start)
-            outcome.units = work.units
-            outcome.sim_cycles = work.sim_cycles
-            outcome.instructions = work.instructions
-        if config.profile:
-            rep = bench.setup(ctx)
-            prof = cProfile.Profile()
-            prof.enable()
-            rep()
-            prof.disable()
-            outcome.hotspots = _hotspots(prof, config.profile_top)
+            wall_s.append(time.perf_counter() - start)
     except Exception as exc:   # noqa: BLE001 — recorded, not propagated
-        outcome.error = f"{type(exc).__name__}: {exc}"
-    return outcome
+        entry["error"] = f"{type(exc).__name__}: {exc}"
+        return entry
+    entry.update({
+        "repetitions": repetitions,
+        "units": work.units,
+        "sim_cycles": work.sim_cycles,
+        "instructions": work.instructions,
+        "wall_s": _stat(wall_s),
+        "throughput": _stat([work.units / w for w in wall_s]),
+    })
+    if work.sim_cycles is not None:
+        entry["sim_cycles_per_s"] = _stat(
+            [work.sim_cycles / w for w in wall_s])
+    if work.instructions is not None:
+        entry["instr_per_s"] = _stat(
+            [work.instructions / w for w in wall_s])
+    return entry
 
 
 def git_sha() -> str | None:
@@ -199,24 +106,24 @@ def capture_environment() -> dict[str, Any]:
     }
 
 
-def run_benchmarks(config: BenchConfig | None = None) -> dict[str, Any]:
-    """Run the selected benchmarks and return the artifact-ready summary."""
-    config = config or BenchConfig()
-    benches = select_benchmarks(config.only)
-    profile = SelfProfile()
-    results: dict[str, Any] = {}
-    for bench in benches:
-        with profile.section(bench.name):
-            results[bench.name] = run_one(bench, config).summary()
+def run_benchmarks(only: tuple[str, ...] = (),
+                   repetitions: int = REPETITIONS) -> dict[str, Any]:
+    """Run the benchmarks matching the fnmatch patterns *only* (all if
+    empty) and return the artifact-ready summary."""
+    if repetitions < 2:
+        raise ValueError("repetitions must be >= 2 "
+                         "(MAD needs at least two samples)")
+    benches = select_benchmarks(only)
     return {
         "schema": SCHEMA_VERSION,
         "kind": "bench",
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "quick": config.quick,
-        "repetitions": config.effective_repetitions,
+        # Every benchmark runs at one size; earlier points of the
+        # trajectory may carry "quick": true (smaller sizes).
+        "quick": False,
+        "repetitions": repetitions,
         "environment": capture_environment(),
-        "profile": profile.snapshot(),     # wall seconds per benchmark
-        "benchmarks": results,
+        "benchmarks": {b.name: run_one(b, repetitions) for b in benches},
     }
 
 
@@ -229,8 +136,6 @@ def artifact_name() -> str:
 def write_artifact(summary: dict[str, Any],
                    root: str | Path = ".") -> Path:
     """Write *summary* as the next trajectory point under *root*."""
-    import json
-
     root = Path(root)
     root.mkdir(parents=True, exist_ok=True)
     path = root / artifact_name()

@@ -23,8 +23,8 @@ back over the worker result pipe, lands in the resume journal, and is
 aggregated by :func:`aggregate_metrics` / :func:`build_exec_trace` on
 the parent side.  Capture is **opt-in** via
 :class:`TelemetryConfig` — the executor's default path stays exactly as
-cheap as before, which is what keeps the ``repro bench`` trajectory
-flat.
+cheap as before, which is what keeps the inline benchmark workloads
+(``perfbench/``) from paying for it.
 """
 
 from __future__ import annotations

@@ -111,29 +111,3 @@ class RunLog:
             self.close()
         except Exception:       # interpreter teardown; nothing to do
             pass
-
-    def read(self) -> list[dict[str, Any]]:
-        """Load every record back (convenience for tests and notebooks).
-
-        A truncated *final* line — the signature of a writer killed
-        mid-append — is skipped; a malformed line anywhere else is real
-        corruption and still raises :class:`json.JSONDecodeError`.
-        """
-        if not self.path.exists():
-            return []
-        with self.path.open(encoding="utf-8") as fh:
-            lines = [line.strip() for line in fh]
-        while lines and not lines[-1]:
-            lines.pop()
-        out: list[dict[str, Any]] = []
-        for i, line in enumerate(lines):
-            if not line:
-                continue
-            try:
-                out.append(json.loads(line))
-            except json.JSONDecodeError:
-                if i == len(lines) - 1:
-                    break       # torn tail from a crash mid-write
-                raise
-        return out
-

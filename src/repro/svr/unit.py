@@ -308,14 +308,16 @@ class ScalarVectorUnit:
             oracle.observe_stride_round(entry.pc, entry.stride)
             if shared_mask:
                 oracle.on_round_join(entry.pc)
-        srf_id = self.srf.allocate(inst.rd, self.taint)
-        if srf_id is None:
-            # SRF exhausted: the destination is part of the chain but its
-            # vector cannot be materialised (same contract as
-            # _write_dest_lanes).
-            self.taint.taint_unmapped(inst.rd)
-            return
-        self.taint.map(inst.rd, srf_id, self._prm_instructions)
+        srf_id = None
+        if inst.rd:             # x0 is never tainted: lanes only prefetch
+            srf_id = self.srf.allocate(inst.rd, self.taint)
+            if srf_id is None:
+                # SRF exhausted: the destination is part of the chain but
+                # its vector cannot be materialised (same contract as
+                # _write_dest_lanes).
+                self.taint.taint_unmapped(inst.rd)
+                return
+            self.taint.map(inst.rd, srf_id, self._prm_instructions)
         stride = entry.stride
         hierarchy = self.core.hierarchy
         memory = self.core.memory
@@ -339,8 +341,10 @@ class ScalarVectorUnit:
                 self.mask[lane] = False
                 self.stats.masked_lanes += 1
                 continue
-            self.srf.write_lane(srf_id, lane, value,
-                                completion if completion is not None else slot)
+            if srf_id is not None:
+                self.srf.write_lane(
+                    srf_id, lane, value,
+                    completion if completion is not None else slot)
             last_prefetched = target
         if cfg.waiting_mode:
             self.detector.record_prefetch_range(entry, addr, last_prefetched)
@@ -396,7 +400,7 @@ class ScalarVectorUnit:
                 if entry is not None:
                     entry.lil_confidence = max(0, entry.lil_confidence - 1)
                 self._lil_offset = self._prm_instructions
-            if inst.rd is not None:
+            if inst.rd:         # x0 writes are dropped, never tainted
                 self.taint.taint_unmapped(inst.rd)
             return
         if inst.is_load:
@@ -526,7 +530,9 @@ class ScalarVectorUnit:
 
     def _write_dest_lanes(self, rd: int | None,
                           values: list[tuple[int, int, float]]) -> None:
-        if rd is None:
+        if not rd:
+            # No destination, or x0: the register file drops the write,
+            # so x0 is never tainted and takes no SRF entry.
             return
         srf_id = self.srf.allocate(rd, self.taint)
         if srf_id is None:

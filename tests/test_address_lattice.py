@@ -9,12 +9,14 @@ a loop-carried hash.
 """
 
 from repro.analysis import (
+    BATCHABLE,
     LoadClass,
     StrideAnalysis,
     build_cfg,
     build_plan,
     collect_trace,
     lint_program,
+    validate_plan,
 )
 from repro.isa.program import ProgramBuilder
 
@@ -139,8 +141,20 @@ def test_load_fed_varying_value_is_indirect_on_its_seed():
     assert infos[9].load_class is LoadClass.INDIRECT
     assert infos[9].depends_on == (6,)
 
-    # Referee: PRM rounds seed at pc 6 and the dependent load issues SVIs.
+    # A load-fed load is not irregular: the plan vectorizes the loop on
+    # its seed, and lint has no SCALAR_ONLY plan to warn about.
+    plan = build_plan(program)
+    (loop,) = plan.loops
+    assert loop.verdict == BATCHABLE
+    assert loop.seeds == ((6, 8),)
+    assert not any(r.kind == "irregular-load" for r in loop.reasons)
+    codes = {d.code for d in lint_program(program).diagnostics}
+    assert "W105" not in codes
+
+    # Referee: PRM rounds seed at pc 6, the dependent load issues SVIs,
+    # and the plan holds against the run.
     oracle = collect_trace(program, memory)
     assert oracle.round_strides == {6: {8}}
     assert {8, 9} <= oracle.dependents
     assert oracle.svi[9].count > 0
+    assert validate_plan(program, plan, oracle).ok

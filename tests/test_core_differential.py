@@ -7,7 +7,8 @@ programs must end with the same pc, registers and memory image on the
 functional core and on every timing-core configuration: the in-order core
 alone and with an SVR unit, the out-of-order core alone and with Vector
 Runahead.  SVR and VR execute transiently over the same state, so this
-also checks that they leave no trace in it.
+also checks that they leave no trace in it.  The same programs also
+check the SVR unit's dynamic chains against the static taint analysis.
 
 CI runs a deeper budget: ``pytest tests/test_core_differential.py
 --hypothesis-profile=deep`` (the profile is registered in conftest.py).
@@ -16,6 +17,13 @@ CI runs a deeper budget: ``pytest tests/test_core_differential.py
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import (
+    LoadClass,
+    StrideAnalysis,
+    build_cfg,
+    collect_trace,
+    taint_chain,
+)
 from repro.cores.functional import FunctionalCore
 from repro.cores.inorder import InOrderCore
 from repro.cores.ooo import OutOfOrderCore
@@ -203,6 +211,25 @@ def check_against_reference(spec):
 @given(programs())
 def test_timing_cores_match_functional_reference(spec):
     check_against_reference(spec)
+
+
+@settings(deadline=None)
+@given(programs())
+def test_dynamic_chains_stay_inside_static_chains(spec):
+    """The containment invariant of ``tests/test_static_vs_dynamic.py``
+    on generated programs: every pc the SVR unit's rounds treated as
+    dependent lies in the static taint chain of a seed it used, and a
+    statically striding seed's rounds use its static stride."""
+    program, memory = build(spec)
+    oracle = collect_trace(program, memory, max_steps=MAX_INSTRUCTIONS)
+    cfg = build_cfg(program)
+    loads = {info.pc: info for info in StrideAnalysis(cfg).loads()}
+    static_union = set(oracle.round_strides)
+    for pc, strides in oracle.round_strides.items():
+        static_union |= taint_chain(cfg, pc).chain_pcs
+        if loads[pc].load_class is LoadClass.STRIDING:
+            assert strides == {loads[pc].stride}, pc
+    assert oracle.dependents <= static_union
 
 
 def test_loop_shape_makes_svr_and_vr_act():

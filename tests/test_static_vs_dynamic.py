@@ -23,9 +23,10 @@ from repro.analysis import (
     collect_trace,
     taint_chain,
 )
+from repro.isa.program import ProgramBuilder
 from repro.workloads.registry import GAP_KERNELS, build_workload
 
-from conftest import build_gather_workload
+from conftest import build_gather_workload, make_memory
 
 RUN_STEPS = 20_000
 
@@ -70,6 +71,49 @@ class TestGather:
         oracle = run_dynamic(program, memory)
         _, loads = static_tools(program)
         assert oracle.round_strides[7] == {loads[7].stride}
+
+
+def x0_sink_program(array_base: int, target: int, trips: int):
+    """A striding seed whose only direct reader writes ``x0``; the next
+    reader of ``x0`` therefore always sees zero and loads ``target``."""
+    b = ProgramBuilder("x0_sink")
+    b.li("a0", array_base)
+    b.li("a1", target)
+    b.li("t0", 0)
+    b.li("t3", trips)
+    b.label("loop")
+    b.slli("t1", "t0", 3)               # pc 4
+    b.add("t1", "a0", "t1")
+    b.ld("t2", "t1", 0)                 # pc 6: striding seed
+    b.add("x0", "t2", "t2")             # pc 7: dropped write
+    b.add("t4", "x0", "a1")             # pc 8: t4 = a1
+    b.ld("t5", "t4", 0)                 # pc 9: always reads a1
+    b.addi("t0", "t0", 1)
+    b.addi("t3", "t3", -1)
+    b.bnez("t3", "loop")
+    b.halt()
+    return b.build()
+
+
+class TestX0:
+    def test_write_to_x0_never_taints_it(self):
+        """The register file drops ``x0`` writes and the static taint
+        never taints ``x0``; the SVR unit must agree, or every later
+        reader of ``x0`` joins the chain with lane values."""
+        trips = 256
+        memory = make_memory()
+        array_base = memory.alloc_array([8 * i for i in range(trips)],
+                                        name="a")
+        target = memory.alloc_zeros(2 * trips, name="target")
+        program = x0_sink_program(array_base, target, trips)
+        oracle = run_dynamic(program, memory)
+        cfg, loads = static_tools(program)
+        assert loads[6].load_class is LoadClass.STRIDING
+        assert taint_chain(cfg, 6).chain_pcs == {7}
+        assert oracle.round_strides == {6: {8}}
+        assert oracle.dependents == {7}
+        assert 9 not in oracle.svi
+        assert oracle.real[9].min_addr == oracle.real[9].max_addr == target
 
 
 @pytest.mark.parametrize("kernel", GAP_KERNELS)
