@@ -4,8 +4,9 @@
 Runs a small vector-length sweep with two fault-isolated workers and
 telemetry capture on, then shows what survives the process boundary:
 per-cell CPU/RSS resource samples, the deterministically merged metric
-snapshot, the parent + worker span tree as one Perfetto trace (one
-process track per worker pid), and a self-contained HTML dashboard.
+snapshot, the parent's spans and each cell's phase spans as one
+Perfetto trace (one process track per worker pid), and a
+self-contained HTML dashboard.
 
 Usage::
 

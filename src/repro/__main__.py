@@ -45,9 +45,9 @@ fence per cell), ``--retries N``, ``--journal PATH`` +  ``--resume``
 fault injection for drills).  Failed cells render as ``-``/``FAILED``
 with a structured failure summary on stderr and exit status 1.
 
-CLI exec runs capture per-cell telemetry by default — spans, a metric
-snapshot, CPU time and max RSS per worker, shipped back over the result
-pipe and into the journal (``--no-telemetry`` opts out).  ``sweep
+CLI exec runs capture per-cell telemetry by default — phase spans, a
+metric snapshot, CPU time and max RSS per worker, shipped back over the
+result pipe and into the journal (``--no-telemetry`` opts out).  ``sweep
 --trace PATH`` writes the merged Perfetto trace with one process track
 per worker pid; ``report`` renders journals / run logs / bench
 trajectories into one static HTML dashboard.
@@ -686,9 +686,7 @@ def _cmd_serve(args) -> int:
             store_dir=args.store, ledger=args.ledger or None,
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown_s=args.breaker_cooldown,
-            drain_timeout_s=args.drain_timeout,
-            progress_interval=args.progress_interval,
-            sample_interval_s=args.sample_interval, faults=faults)
+            drain_timeout_s=args.drain_timeout, faults=faults)
         server = ReproServer(config)
     except ValueError as exc:
         print(f"serve: {exc}", file=sys.stderr)
@@ -1013,14 +1011,6 @@ def main(argv: list[str] | None = None) -> int:
     serve_p.add_argument("--drain-timeout", type=float, default=30.0,
                          metavar="SECONDS",
                          help="graceful-drain budget on shutdown")
-    serve_p.add_argument("--progress-interval", type=int, default=1_000,
-                         metavar="N",
-                         help="instructions between worker progress "
-                              "frames (0 disables live progress)")
-    serve_p.add_argument("--sample-interval", type=float, default=2.0,
-                         metavar="SECONDS",
-                         help="cadence of the metrics-history gauge "
-                              "samples (/metrics/history)")
     serve_p.add_argument("--inject", action="append", default=[],
                          metavar="WORKLOAD/TECH:KIND[:TIMES]",
                          help="inject deterministic faults into workers "

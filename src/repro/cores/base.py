@@ -181,9 +181,9 @@ def run_window(core, max_instructions: int, progress=None) -> CoreStats:
 
     The watchdog limits are compared inline; :func:`check_watchdog` is
     called only once one is exceeded, to emit and raise.  With a
-    :class:`repro.obs.ProgressReporter` as *progress*, frames are emitted
-    on a committed-instruction countdown; the default ``None`` path is a
-    loop of its own, free of that bookkeeping.
+    :class:`repro.obs.ProgressReporter` as *progress*, the window runs
+    in chunks of its cadence and the reporter samples the core between
+    chunks; without one, the window is one chunk.
     """
     cfg = core.config
     max_cycles = cfg.watchdog_max_cycles
@@ -192,28 +192,20 @@ def run_window(core, max_instructions: int, progress=None) -> CoreStats:
         max_cycles = math.inf
     if max_lifetime is None:
         max_lifetime = math.inf
+    chunk = progress.interval if progress is not None else max_instructions
     step = core.step
     executed = 0
-    if progress is not None:
-        countdown = progress.interval
-        while executed < max_instructions and step():
+    while True:
+        stop = min(executed + chunk, max_instructions)
+        while executed < stop and step():
             executed += 1
             core.lifetime_instructions += 1
             if (core.stats.end_cycle > max_cycles
                     or core.lifetime_instructions > max_lifetime):
                 check_watchdog(core)
-            countdown -= 1
-            if countdown <= 0:
-                countdown = progress.interval
-                progress.sample(core)
-        return core.stats
-    while executed < max_instructions and step():
-        executed += 1
-        core.lifetime_instructions += 1
-        if (core.stats.end_cycle > max_cycles
-                or core.lifetime_instructions > max_lifetime):
-            check_watchdog(core)
-    return core.stats
+        if executed < stop or executed >= max_instructions:
+            return core.stats
+        progress.sample(core)
 
 
 class IssueSlots:

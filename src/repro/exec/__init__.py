@@ -16,9 +16,10 @@ The pieces (design rationale in ``docs/resilience.md``):
   worker pool that isolates cells for it and for ``repro serve``; and
   :class:`OutcomeSink`, the retry decision, probes and journal records
   both settle cells through;
-* :mod:`repro.exec.telemetry` — cross-process telemetry: per-worker
-  span / metric / rusage capture shipped over the result pipe, and the
-  deterministic parent-side merge (see ``docs/observability.md``).
+* :mod:`repro.exec.telemetry` — cross-process telemetry: per-cell
+  phase-span / metric / trace-tail / rusage capture shipped over the
+  result pipe, and the deterministic parent-side merge (see
+  ``docs/observability.md``).
 
 The simulator-side guard lives in :mod:`repro.cores.base`:
 :class:`SimulationError` is what the watchdog fence raises, re-exported
@@ -51,7 +52,6 @@ from repro.exec.faults import (
     parse_fault,
 )
 from repro.exec.journal import RunJournal
-from repro.obs.progress import ProgressConfig
 from repro.exec.spec import ResultView, RunSpec, config_key, result_metric
 from repro.exec.telemetry import (
     CellCapture,
@@ -77,7 +77,6 @@ __all__ = [
     "InjectedCrash",
     "InjectedHang",
     "OutcomeSink",
-    "ProgressConfig",
     "ResultView",
     "RunFailure",
     "RunJournal",

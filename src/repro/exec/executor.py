@@ -19,18 +19,20 @@ through.  Given a list of :class:`~repro.exec.spec.RunSpec` cells and an
 * journals each completed cell so a re-invocation resumes where the
   previous one died;
 * emits ``exec.*`` probe events on the probe bus for the observability
-  layer (see ``docs/observability.md``).
+  layer, and with telemetry on records the spans of its own lifecycle
+  (see ``docs/observability.md``).
 
 :class:`WorkerPool` is the one process-isolation engine; ``repro serve``
-drives it too.  A worker process starts only when there is a cell to
-hand it, then runs the cells sent over its pipe one at a time through
-:class:`~repro.exec.telemetry.CellCapture`.  Between cells it keeps its
-imported modules and its heap (so its peak RSS is a high-water mark over
-the cells it ran), but no cell state: every cell builds its workload and
-simulator afresh.  A worker is retired after any attempt that does not
-end ``ok`` — a failure it reports, its death, or a wall-clock kill — so
-a failed cell never shares a process with a later one; the next cell
-starts a fresh worker.
+drives it too, and only serve's pool streams live progress frames from
+its workers (``WorkerPool(progress=True)``).  A worker process starts
+only when there is a cell to hand it, then runs the cells sent over its
+pipe one at a time through :class:`~repro.exec.telemetry.CellCapture`.
+Between cells it keeps its imported modules and its heap (so its peak
+RSS is a high-water mark over the cells it ran), but no cell state:
+every cell builds its workload and simulator afresh.  A worker is
+retired after any attempt that does not end ``ok`` — a failure it
+reports, its death, or a wall-clock kill — so a failed cell never
+shares a process with a later one; the next cell starts a fresh worker.
 
 A failed cell is *salvaged*: it is reported in the :class:`ExecReport`
 and the remaining cells still complete — the partial-but-honest
@@ -71,8 +73,8 @@ from repro.exec.telemetry import (
     telemetry_records,
 )
 from repro.obs.probes import ProbeBus, default_bus
-from repro.obs.progress import ProgressConfig, advancing
-from repro.obs.spans import SpanTracer
+from repro.obs.progress import ProgressReporter, advancing
+from repro.obs.runlog import SelfProfile
 
 
 # Each retry delay is the previous one times BACKOFF_FACTOR, spread by
@@ -95,7 +97,6 @@ class ExecConfig:
     faults: FaultPlan | None = None   # seeded fault injection
     bus: ProbeBus | None = None       # probe bus; None = the default bus
     telemetry: TelemetryConfig | None = None   # per-cell capture; None = off
-    progress: ProgressConfig | None = None     # in-flight frames; None = off
 
     def __post_init__(self) -> None:
         if self.jobs < 1:
@@ -201,17 +202,17 @@ class ExecReport:
         (counters summed, histograms merged bucket-wise, gauges
         last-write in key order) — deterministic regardless of worker
         completion order."""
-        return aggregate_metrics(self.outcomes)
+        return aggregate_metrics(self.telemetry_records())
 
     def resources(self) -> dict:
         """CPU-seconds total and max-RSS high-water mark over all cells
         that carried a resource sample."""
-        return resource_summary(self.outcomes)
+        return resource_summary(self.telemetry_records())
 
     def trace(self) -> dict:
         """Merged Chrome/Perfetto trace: one process track per worker
         pid plus the parent's lifecycle track."""
-        return build_exec_trace(self.outcomes, self.parent_spans)
+        return build_exec_trace(self.telemetry_records(), self.parent_spans)
 
     def outcome_for(self, spec: RunSpec) -> CellOutcome | None:
         return self.by_key.get(spec.key)
@@ -269,24 +270,26 @@ def _classify(spec: RunSpec, exc: BaseException) -> RunFailure:
 
 def _worker_main(conn, faults: FaultPlan | None,
                  telemetry: TelemetryConfig | None = None,
-                 progress: ProgressConfig | None = None) -> None:
+                 progress: bool = False) -> None:
     """Body of a :class:`WorkerPool` worker: run the cells sent over
     *conn* until told to stop.
 
     Protocol: the parent sends ``("run", spec, attempt)`` or
     ``("stop",)``.  For each cell the worker sends zero or more
-    ``("progress", frame_dict)`` messages while the simulation runs, then
+    ``("progress", frame)`` messages while the simulation runs (only
+    when *progress* is set; *frame* is a
+    :meth:`~repro.obs.ProgressReporter.sample` dict), then
     exactly one terminal message — ``("ok", result_dict, telemetry)`` or
     ``("fail", RunFailure, telemetry)``, *telemetry* being the
     :meth:`CellCapture.snapshot` payload or None.  An injected crash is
     reported like any other exception.  After a ``fail`` the worker
     exits: its pool retires it.
     """
-    def ship(frame) -> None:
+    def ship(frame: dict) -> None:
         # A dead parent must not turn a good cell into a crash: the
         # terminal send will surface the broken pipe if it matters.
         try:
-            conn.send(("progress", frame.to_dict()))
+            conn.send(("progress", frame))
         except OSError:
             pass
 
@@ -298,9 +301,7 @@ def _worker_main(conn, faults: FaultPlan | None,
         if message[0] != "run":
             break
         _, spec, attempt = message
-        reporter = (progress.reporter(ship, workload=spec.workload,
-                                      technique=spec.technique_name)
-                    if progress is not None else None)
+        reporter = ProgressReporter(ship) if progress else None
         capture = CellCapture(telemetry, spec, attempt)
         try:
             _inject(faults, spec, attempt, inline=False)
@@ -403,13 +404,19 @@ class WorkerPool:
       ``started``, ``ended``); :attr:`restarts` counts these;
     * ``"stop"`` — :meth:`stop` shut a worker down (same fields);
     * ``"progress"`` — a live frame from a busy worker (``worker``,
-      ``key``, ``attempt``, ``frame``).
+      ``key``, ``attempt``, ``frame``); only with ``progress=True``.
+
+    With ``progress=True`` each worker streams its cell's progress
+    frames at the fixed cadences of :mod:`repro.obs.progress`, and the
+    wall-clock fence becomes a stall fence: a frame that advances the
+    simulated clock pushes the busy worker's deadline out.  ``repro
+    serve`` turns it on; :func:`run_cells` does not.
     """
 
     def __init__(self, size: int, *, timeout_s: float | None = None,
                  faults: FaultPlan | None = None,
                  telemetry: TelemetryConfig | None = None,
-                 progress: ProgressConfig | None = None,
+                 progress: bool = False,
                  on_event: Callable[..., None] | None = None) -> None:
         if size < 1:
             raise ValueError(f"WorkerPool.size must be >= 1, got {size}")
@@ -658,9 +665,9 @@ class WorkerPool:
 
 class OutcomeSink:
     """Parent-side outcome plumbing: the retry decision, probe
-    emissions, journal appends, and the span track of the exec
-    lifecycle.  :func:`run_cells`' runners and the ``repro serve``
-    scheduler settle every cell through it."""
+    emissions, journal appends, and the spans of the exec lifecycle.
+    :func:`run_cells`' runners and the ``repro serve`` scheduler settle
+    every cell through it."""
 
     def __init__(self, config: ExecConfig) -> None:
         self.config = config
@@ -669,59 +676,35 @@ class OutcomeSink:
         self.p_failure = bus.probe("exec.failure")
         self.p_retry = bus.probe("exec.retry")
         self.p_timeout = bus.probe("exec.timeout")
-        self.p_progress = bus.probe("exec.progress")
         self.journal = (RunJournal(config.journal, bus=bus)
                         if config.journal else None)
-        self.tracer = (SpanTracer()
-                       if config.telemetry is not None else None)
-        self._root = None
+        # The parent's track of the run (``run_cells``, ``attempt``,
+        # ``spawn``, ``reap``), kept only while telemetry is on.
+        self.profile = (SelfProfile()
+                        if config.telemetry is not None else None)
 
-    def begin_run(self, cells: int) -> None:
-        if self.tracer is not None:
-            self._root = self.tracer.begin(
-                "run_cells", cells=cells, jobs=self.config.jobs,
-                isolate=self.config.isolate)
-
-    def end_run(self) -> list[dict]:
-        if self.tracer is None:
-            return []
-        if self._root is not None:
-            self.tracer.end(self._root)
-            self._root = None
-        return self.tracer.export()
-
-    def _span(self, name: str, started: float, ended: float,
-              **attrs) -> None:
-        if self.tracer is not None:
-            parent = self._root.span_id if self._root is not None else None
-            self.tracer.add(name, started, ended, parent=parent, **attrs)
+    def span(self, name: str, started: float, ended: float,
+             status: str = "ok", **attrs) -> None:
+        """Record one interval of the exec lifecycle, timed on the
+        monotonic clock the workers' spans share."""
+        if self.profile is not None:
+            self.profile.add(name, started, ended, status, **attrs)
 
     def attempt_span(self, spec: RunSpec, attempt: int, started: float,
                      ended: float, status: str) -> None:
-        """Record one attempt on the parent track, on the shared
-        monotonic clock."""
-        self._span("attempt", started, ended, status=status, key=spec.key,
-                   workload=spec.workload, technique=spec.technique_name,
-                   attempt=attempt)
+        self.span("attempt", started, ended, status, key=spec.key,
+                  workload=spec.workload, technique=spec.technique_name,
+                  attempt=attempt)
 
-    def worker_span(self, event: str, fields: dict) -> None:
-        """Record a pool worker's ``spawn`` (its ``start`` event) or
-        ``reap`` (``restart``/``stop``) on the parent track."""
+    def worker_span(self, event: str, **fields) -> None:
+        """A :class:`WorkerPool` ``on_event`` hook: record a worker's
+        ``spawn`` (its ``start`` event) or ``reap`` (``restart``/``stop``)."""
         if event == "start":
-            self._span("spawn", fields["started"], fields["ended"],
-                       pid=fields["pid"])
+            self.span("spawn", fields["started"], fields["ended"],
+                      pid=fields["pid"])
         else:
-            self._span("reap", fields["started"], fields["ended"],
-                       pid=fields["pid"], reason=fields["reason"])
-
-    def progress(self, spec: RunSpec, attempt: int, frame: dict) -> None:
-        if self.p_progress.enabled:
-            # The frame names its own workload/technique; spec values
-            # only fill in if a (stub) frame omitted them.
-            self.p_progress.emit(**{"key": spec.key,
-                                    "workload": spec.workload,
-                                    "technique": spec.technique_name,
-                                    "attempt": attempt, **frame})
+            self.span("reap", fields["started"], fields["ended"],
+                      pid=fields["pid"], reason=fields["reason"])
 
     def ok(self, spec: RunSpec, result: dict, attempts: int,
            elapsed_s: float, telemetry: dict | None = None) -> CellOutcome:
@@ -861,16 +844,9 @@ def _run_isolated(pending: list[RunSpec], config: ExecConfig,
     inflight: dict[str, _Cell] = {}
     outcomes: list[CellOutcome] = []
 
-    def on_event(event: str, **fields) -> None:
-        if event == "progress":
-            cell = inflight[fields["key"]]
-            sink.progress(cell.spec, fields["attempt"], fields["frame"])
-        else:
-            sink.worker_span(event, fields)
-
     pool = WorkerPool(config.jobs, timeout_s=config.timeout_s,
                       faults=config.faults, telemetry=config.telemetry,
-                      progress=config.progress, on_event=on_event)
+                      on_event=sink.worker_span)
 
     def settle(c: Completion) -> None:
         """Record the attempt, then finish its cell or schedule a retry."""
@@ -942,13 +918,15 @@ def run_cells(specs: Sequence[RunSpec],
         else:
             pending.append(spec)
 
-    sink.begin_run(len(order))
+    started = time.monotonic()
     try:
         if pending:
             runner = _run_isolated if config.isolate else _run_inline
             for outcome in runner(pending, config, sink):
                 outcomes[outcome.key] = outcome
     finally:
-        parent_spans = sink.end_run()
+        sink.span("run_cells", started, time.monotonic(), cells=len(order),
+                  jobs=config.jobs, isolate=config.isolate)
     return ExecReport([outcomes[k] for k in order],
-                      parent_spans=parent_spans)
+                      parent_spans=(sink.profile.spans
+                                    if sink.profile is not None else None))

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Any, Iterable, Sequence
 
 from repro.exec.journal import RunJournal
-from repro.obs.metrics import merge_typed_snapshots
+from repro.exec.telemetry import aggregate_metrics, resource_summary
 
 # Chart palette (see docs/observability.md): one accent hue for
 # magnitude, status colors reserved for ok/failed, text never in series
@@ -139,21 +139,10 @@ def build_report_data(journals: Sequence[str | Path] = (),
     retry_count = sum(1 for e in events if e.get("event") == "retry")
     timeout_count = sum(1 for e in events if e.get("event") == "timeout")
 
-    metric_snapshots = [
-        record["telemetry"]["metrics"]
-        for record in cells.values()
-        if (record.get("telemetry") or {}).get("metrics")]
-    merged_metrics = merge_typed_snapshots(metric_snapshots)
-
-    telem = [record["telemetry"] for record in cells.values()
-             if record.get("telemetry")]
-    resources = {
-        "cells": len(telem),
-        "cpu_s": round(sum(t.get("cpu_s", 0.0) for t in telem), 3),
-        "max_rss_kib": max((t.get("max_rss_kib", 0) for t in telem),
-                           default=0),
-        "pids": sorted({t["pid"] for t in telem if "pid" in t}),
-    }
+    # The executor's own aggregation, over the same key-ordered payloads
+    # ExecReport merges, so a report equals the run that wrote it.
+    payloads = [cells[key]["telemetry"] for key in sorted(cells)
+                if cells[key].get("telemetry")]
 
     runlog_rows = []
     lint_rows: dict[str, dict[str, Any]] = {}
@@ -210,8 +199,8 @@ def build_report_data(journals: Sequence[str | Path] = (),
         "failure_taxonomy": failure_taxonomy,
         "retries": retry_count,
         "timeouts": timeout_count,
-        "metrics": merged_metrics,
-        "resources": resources,
+        "metrics": aggregate_metrics(payloads),
+        "resources": resource_summary(payloads),
         "runlogs": runlog_rows,
         "lints": sorted(lint_rows.values(), key=lambda r: r["name"]),
         "plans": sorted(plan_rows.values(), key=lambda r: r["name"]),

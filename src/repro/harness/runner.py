@@ -254,8 +254,8 @@ def run(workload: str | Workload, tech: TechniqueConfig | str,
 
     Pass a :class:`repro.obs.ProgressReporter` as *progress* to stream
     in-flight frames (cycle, instructions, IPC-so-far, phase, episode
-    count) while the core runs; ``None`` (the default) keeps the core
-    run loops on their original, uninstrumented path.
+    count) while the core runs; with ``None`` (the default) the core run
+    loop runs each window as one chunk and never samples.
 
     Unless the technique pins its own watchdog, a window-scaled
     ``watchdog_max_cycles`` fence is installed so a runaway simulation

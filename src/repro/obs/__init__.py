@@ -1,19 +1,23 @@
-"""Simulator-wide observability: probe bus, metrics, spans, logs, traces.
+"""Simulator-wide observability: probe bus, metrics, logs, traces, live
+progress.
 
-The five pieces (design rationale in ``docs/observability.md``):
+The pieces (design rationale in ``docs/observability.md``):
 
-* :mod:`repro.obs.probes`  — named probe points with near-zero-cost no-op
+* :mod:`repro.obs.probes`   — named probe points with near-zero-cost no-op
   dispatch when nothing subscribes;
-* :mod:`repro.obs.metrics` — hierarchical counters / gauges / log2
+* :mod:`repro.obs.metrics`  — hierarchical counters / gauges / log2
   histograms that snapshot to plain dicts, with typed snapshots that
   merge deterministically across processes; a run's counters are read
   off the simulator's stats objects, its histograms fed by probes;
-* :mod:`repro.obs.spans`   — hierarchical span tracing of the execution
-  lifecycle, the telemetry that survives the worker process boundary;
-* :mod:`repro.obs.runlog`  — JSONL run records plus a wall-clock
-  self-profile of the simulator itself;
-* :mod:`repro.obs.export`  — Chrome trace-event JSON for Perfetto,
-  including the one-track-per-worker-pid multi-process merge.
+* :mod:`repro.obs.runlog`   — JSONL run records, and
+  :class:`SelfProfile`, the one phase timer: each timed section is one
+  span dict on ``time.monotonic``, the record's ``profile`` and the
+  execution telemetry's spans alike;
+* :mod:`repro.obs.export`   — Chrome trace-event JSON for Perfetto,
+  including span slices and the one-track-per-worker-pid multi-process
+  merge;
+* :mod:`repro.obs.progress` — in-flight progress frames (plain dicts)
+  from the core run loops.
 
 :class:`RunObservation` bundles them for one simulator run and is what
 ``harness.runner.run(..., obs=...)`` and the CLI flags
@@ -27,6 +31,7 @@ from typing import Any
 from repro.obs.export import (
     ChromeTraceBuilder,
     build_multiprocess_trace,
+    spans_to_trace_events,
     validate_trace,
     write_trace,
 )
@@ -42,22 +47,11 @@ from repro.obs.metrics import (
     typed_to_plain,
 )
 from repro.obs.probes import Probe, ProbeBus, Subscription, default_bus
-from repro.obs.progress import (
-    ProgressConfig,
-    ProgressFrame,
-    ProgressReporter,
-    advancing,
-)
+from repro.obs.progress import ProgressReporter, advancing
 from repro.obs.runlog import (
     RunLog,
     SelfProfile,
     make_record,
-)
-from repro.obs.spans import (
-    Span,
-    SpanTracer,
-    bridge_probe_spans,
-    spans_to_trace_events,
 )
 
 __all__ = [
@@ -68,17 +62,12 @@ __all__ = [
     "MetricsRegistry",
     "Probe",
     "ProbeBus",
-    "ProgressConfig",
-    "ProgressFrame",
     "ProgressReporter",
     "RunLog",
     "RunObservation",
     "SelfProfile",
-    "Span",
-    "SpanTracer",
     "Subscription",
     "advancing",
-    "bridge_probe_spans",
     "build_multiprocess_trace",
     "default_bus",
     "install_exec_metrics",
@@ -120,9 +109,10 @@ class RunObservation:
         self._subs: list[Subscription] = []
         self._core: Any = None
 
-    def section(self, name: str):
-        """Wall-clock profiling context for one simulator phase."""
-        return self.profile.section(name)
+    def section(self, name: str, **attrs: Any):
+        """Time one phase (a context manager): the one way a phase gets
+        timed, recorded once as a span on :attr:`profile`."""
+        return self.profile.section(name, **attrs)
 
     def begin_measure(self, core: Any) -> None:
         """Open the measured window of *core* (called by the runner after

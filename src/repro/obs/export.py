@@ -134,17 +134,22 @@ class ChromeTraceBuilder:
 
     # -- output -------------------------------------------------------------
 
+    def close(self) -> None:
+        """Close a PRM episode still open at window end as a ``PRM
+        (open)`` slice ending at the last timestamp seen, so the episode
+        is not lost."""
+        if self._prm_open is None:
+            return
+        start, args = self._prm_open
+        self._prm_open = None
+        self._push({"name": "PRM (open)", "cat": "svr", "ph": "X",
+                    "ts": start, "dur": max(self._max_ts - start, 0.01),
+                    "pid": _PID, "tid": _TRACKS["svr"],
+                    "args": dict(args, cause="window-end")})
+
     def to_dict(self) -> dict[str, Any]:
+        self.close()
         events = list(self.events)
-        if self._prm_open is not None:
-            # Episode still open at window end: close it at the last
-            # timestamp seen so the slice is not lost.
-            start, args = self._prm_open
-            events.append({"name": "PRM (open)", "cat": "svr", "ph": "X",
-                           "ts": start,
-                           "dur": max(self._max_ts - start, 0.01),
-                           "pid": _PID, "tid": _TRACKS["svr"],
-                           "args": dict(args, cause="window-end")})
         meta: list[dict[str, Any]] = [
             {"name": "process_name", "ph": "M", "pid": _PID,
              "args": {"name": "repro-sim"}},
@@ -168,6 +173,31 @@ class ChromeTraceBuilder:
             path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(json.dumps(self.to_dict()), encoding="utf-8")
         return path
+
+
+def spans_to_trace_events(spans: list[dict[str, Any]], *, pid: int,
+                          tid: int = 1) -> list[dict[str, Any]]:
+    """Render span dicts (:class:`repro.obs.runlog.SelfProfile`'s) as
+    Chrome complete slices: monotonic seconds map to trace microseconds.
+
+    Spans nest on one ``tid`` by time containment, which is how Perfetto
+    stacks them.  Spans whose ``clock`` is ``cycles`` are skipped: only
+    journals written by older versions hold such spans (per-PRM-episode
+    spans on the simulated clock, which the trace events already cover),
+    and their timebase is not the wall clock.
+    """
+    events = []
+    for span in spans:
+        if span.get("clock") == "cycles" or span.get("end") is None:
+            continue
+        start = span["start"] * 1e6
+        end = span["end"] * 1e6
+        args = dict(span.get("attrs") or {})
+        args["status"] = span.get("status", "ok")
+        events.append({"name": span["name"], "cat": "span", "ph": "X",
+                       "ts": start, "dur": max(end - start, 0.01),
+                       "pid": pid, "tid": tid, "args": args})
+    return events
 
 
 def build_multiprocess_trace(

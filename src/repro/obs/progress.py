@@ -3,134 +3,48 @@
 A multi-minute SVR cell is a black box between submission and verdict:
 probes, spans and metrics all surface *after* the run.  This module adds
 the live counterpart — a :class:`ProgressReporter` that the core run
-loops tick on an instruction-count cadence, emitting small JSON-ready
-:class:`ProgressFrame` snapshots (simulated cycle, committed
-instructions, IPC-so-far, phase, SVR episode count) to a caller-supplied
-sink.  Workers forward frames over their result pipe; the parent then
-holds a live per-cell picture and can tell a *stalled* simulation (the
-simulated cycle stopped advancing) from a merely *slow* one.
+loop samples every :data:`INTERVAL_INSTRUCTIONS` committed instructions,
+emitting small JSON-ready frames (plain dicts: simulated cycle,
+committed instructions, IPC-so-far, phase, SVR episode count) to a
+caller-supplied sink.  ``repro serve``'s worker pool is the one
+streamer: its workers forward frames over their result pipe, and the
+parent then holds a live per-cell picture and can tell a *stalled*
+simulation (the simulated cycle stopped advancing) from a merely *slow*
+one.
 
-Cost discipline mirrors the probe bus: when no reporter is passed,
-``core.run()`` executes its original loop untouched — the disabled hot
-path pays nothing, not even a per-instruction branch beyond the single
-``progress is None`` check at window entry.  When enabled, the loop
-decrements a countdown and only on expiry calls :meth:`sample`, which is
-additionally wall-clock rate-limited, so even an enabled run emits a few
-frames per second regardless of simulator speed.
+Cost discipline mirrors the probe bus: when no reporter is passed, the
+core run loop runs each window as one chunk and never samples.  With a
+reporter it runs the window in chunks of the cadence and calls
+:meth:`ProgressReporter.sample` between chunks; the sample is further
+rate-limited on the wall clock (:data:`MIN_INTERVAL_S`), so even a fast
+simulator emits a few frames per second at most.
+
+The two cadences are module constants.  A reporter reads them when it
+is built, so a test that needs faster frames patches them before the
+pool forks its workers.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Any, Callable
 
 __all__ = [
-    "DEFAULT_INTERVAL_INSTRUCTIONS",
-    "DEFAULT_MIN_INTERVAL_S",
-    "ProgressConfig",
-    "ProgressFrame",
+    "INTERVAL_INSTRUCTIONS",
+    "MIN_INTERVAL_S",
     "ProgressReporter",
     "advancing",
 ]
 
-# How many committed instructions between countdown expiries.  Small
-# enough that a tiny-scale run still produces several frames, large
-# enough that the countdown dominates cost, not the sample calls.
-DEFAULT_INTERVAL_INSTRUCTIONS = 1_000
+# Committed instructions between samples.  Small enough that a
+# tiny-scale run still produces several frames, large enough that the
+# chunked loop, not the sample calls, dominates the cost.
+INTERVAL_INSTRUCTIONS = 1_000
 
-# Wall-clock floor between emitted frames: a fast simulator hits the
-# countdown thousands of times a second; the rate limit keeps the pipe
-# traffic (and the parent's bookkeeping) bounded.
-DEFAULT_MIN_INTERVAL_S = 0.2
-
-
-@dataclass(frozen=True)
-class ProgressConfig:
-    """Picklable progress knobs, shipped to isolated workers with their
-    spec (same pattern as :class:`repro.exec.telemetry.TelemetryConfig`).
-    ``None`` at the executor/pool layer means progress reporting is off
-    and the core run loops stay on their uninstrumented path."""
-
-    interval: int = DEFAULT_INTERVAL_INSTRUCTIONS
-    min_interval_s: float = DEFAULT_MIN_INTERVAL_S
-
-    def __post_init__(self) -> None:
-        if self.interval < 1:
-            raise ValueError(
-                f"ProgressConfig.interval must be >= 1, got {self.interval}")
-        if self.min_interval_s < 0:
-            raise ValueError(
-                f"ProgressConfig.min_interval_s must be >= 0, "
-                f"got {self.min_interval_s}")
-
-    def reporter(self, emit: Callable[["ProgressFrame"], None], *,
-                 workload: str | None = None,
-                 technique: str | None = None) -> "ProgressReporter":
-        return ProgressReporter(emit, interval=self.interval,
-                                min_interval_s=self.min_interval_s,
-                                workload=workload, technique=technique)
-
-
-@dataclass
-class ProgressFrame:
-    """One point-in-time snapshot of a running simulation.
-
-    ``cycle`` and ``instructions`` are *lifetime* values (monotonic
-    across warmup/measure windows) so consumers can assert forward
-    progress; ``ipc`` is the current window's IPC-so-far, which is what
-    an operator actually wants to watch converge.
-    """
-
-    seq: int
-    phase: str                      # build | warmup | measure | done
-    workload: str | None
-    technique: str | None
-    cycle: float                    # absolute simulated cycle
-    instructions: int               # lifetime committed instructions
-    target_instructions: int | None  # warmup + measure, for ETA
-    ipc: float                      # IPC of the current window so far
-    pc: int | None
-    episodes: int                   # SVR PRM rounds / VR episodes so far
-    wall_s: float                   # wall seconds since the reporter began
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "seq": self.seq,
-            "phase": self.phase,
-            "workload": self.workload,
-            "technique": self.technique,
-            "cycle": self.cycle,
-            "instructions": self.instructions,
-            "target_instructions": self.target_instructions,
-            "ipc": self.ipc,
-            "pc": self.pc,
-            "episodes": self.episodes,
-            "wall_s": self.wall_s,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "ProgressFrame":
-        return cls(
-            seq=int(data.get("seq", 0)),
-            phase=str(data.get("phase", "?")),
-            workload=data.get("workload"),
-            technique=data.get("technique"),
-            cycle=float(data.get("cycle", 0.0)),
-            instructions=int(data.get("instructions", 0)),
-            target_instructions=data.get("target_instructions"),
-            ipc=float(data.get("ipc", 0.0)),
-            pc=data.get("pc"),
-            episodes=int(data.get("episodes", 0)),
-            wall_s=float(data.get("wall_s", 0.0)),
-        )
-
-    @property
-    def fraction(self) -> float | None:
-        """Completed fraction of the run, if a target is known."""
-        if not self.target_instructions:
-            return None
-        return min(1.0, self.instructions / self.target_instructions)
+# Wall-clock floor between emitted frames: a fast simulator reaches the
+# end of a chunk thousands of times a second; the rate limit keeps the
+# pipe traffic (and the parent's bookkeeping) bounded.
+MIN_INTERVAL_S = 0.2
 
 
 def _episodes_of(core: Any) -> int:
@@ -144,56 +58,50 @@ def _episodes_of(core: Any) -> int:
 
 
 class ProgressReporter:
-    """Ticks from a core run loop, emits rate-limited progress frames.
+    """Sampled from a core run loop, emits rate-limited progress frames.
 
-    ``emit`` receives each :class:`ProgressFrame`; it must never raise
-    into the simulation (wrap pipe sends accordingly).  The reporter is
+    ``emit`` receives each frame; it must never raise into the
+    simulation (wrap pipe sends accordingly).  The reporter is
     deliberately *not* shipped across processes — construct it inside
     the worker with a pipe-writing ``emit`` instead.
+
+    A frame's ``cycle`` and ``instructions`` are *lifetime* values
+    (monotonic across the warmup and measure windows), so consumers can
+    assert forward progress; ``ipc`` is the current window's IPC so
+    far, which is what an operator wants to watch converge.
     """
 
     __slots__ = ("interval", "_emit", "_min_interval_s", "_clock",
                  "_start", "_last_wall", "_max_cycle", "seq", "phase",
-                 "workload", "technique", "target_instructions",
-                 "last_frame")
+                 "workload", "technique", "target_instructions")
 
-    def __init__(self, emit: Callable[[ProgressFrame], None], *,
-                 interval: int = DEFAULT_INTERVAL_INSTRUCTIONS,
-                 min_interval_s: float = DEFAULT_MIN_INTERVAL_S,
-                 workload: str | None = None,
-                 technique: str | None = None,
+    def __init__(self, emit: Callable[[dict[str, Any]], None], *,
                  clock: Callable[[], float] = time.monotonic) -> None:
-        if interval < 1:
-            raise ValueError(f"interval must be >= 1, got {interval}")
-        self.interval = interval
+        self.interval = INTERVAL_INSTRUCTIONS
         self._emit = emit
-        self._min_interval_s = min_interval_s
+        self._min_interval_s = MIN_INTERVAL_S
         self._clock = clock
         self._start = clock()
         self._last_wall = -float("inf")
         self._max_cycle = 0.0
         self.seq = 0
         self.phase = "build"
+        self.workload: str | None = None
+        self.technique: str | None = None
+        self.target_instructions: int | None = None
+
+    def annotate(self, *, workload: str, technique: str,
+                 target_instructions: int) -> None:
+        """Attach run identity once the harness has resolved it."""
         self.workload = workload
         self.technique = technique
-        self.target_instructions: int | None = None
-        self.last_frame: ProgressFrame | None = None
-
-    def annotate(self, *, workload: str | None = None,
-                 technique: str | None = None,
-                 target_instructions: int | None = None) -> None:
-        """Attach run identity once the harness has resolved it."""
-        if workload is not None:
-            self.workload = workload
-        if technique is not None:
-            self.technique = technique
-        if target_instructions is not None:
-            self.target_instructions = target_instructions
+        self.target_instructions = target_instructions
 
     def set_phase(self, phase: str) -> None:
         self.phase = phase
 
-    def sample(self, core: Any, force: bool = False) -> ProgressFrame | None:
+    def sample(self, core: Any,
+               force: bool = False) -> dict[str, Any] | None:
         """Build and emit a frame, unless rate-limited (``force`` skips
         the wall-clock limit — used at phase boundaries)."""
         now = self._clock()
@@ -205,25 +113,24 @@ class ProgressReporter:
         # back under the previous window's completion horizon; clamp so
         # the published lifetime cycle never runs backwards.
         self._max_cycle = max(self._max_cycle, stats.end_cycle)
-        frame = ProgressFrame(
-            seq=self.seq,
-            phase=self.phase,
-            workload=self.workload,
-            technique=self.technique,
-            cycle=self._max_cycle,
-            instructions=core.lifetime_instructions,
-            target_instructions=self.target_instructions,
-            ipc=stats.ipc,
-            pc=getattr(core, "pc", None),
-            episodes=_episodes_of(core),
-            wall_s=round(now - self._start, 6),
-        )
+        frame = {
+            "seq": self.seq,
+            "phase": self.phase,        # build | warmup | measure | done
+            "workload": self.workload,
+            "technique": self.technique,
+            "cycle": self._max_cycle,
+            "instructions": core.lifetime_instructions,
+            "target_instructions": self.target_instructions,
+            "ipc": stats.ipc,
+            "pc": getattr(core, "pc", None),
+            "episodes": _episodes_of(core),  # SVR PRM rounds / VR episodes
+            "wall_s": round(now - self._start, 6),
+        }
         self.seq += 1
-        self.last_frame = frame
         self._emit(frame)
         return frame
 
-    def finish(self, core: Any) -> ProgressFrame | None:
+    def finish(self, core: Any) -> dict[str, Any] | None:
         """Emit a final forced frame with phase ``done``."""
         self.phase = "done"
         return self.sample(core, force=True)

@@ -1,13 +1,17 @@
-"""Structured run logs: append-only JSONL records plus a wall-clock
-self-profile.
+"""Structured run logs: append-only JSONL records, and the one phase
+timer.
 
 One record per simulator invocation (a ``harness.runner.run`` call or a
 figure regeneration): the configuration, the :class:`SimResult` export,
 the metric snapshot of the measured window, and where the *wall-clock*
-time went (build / warmup / measure, via ``time.perf_counter``).  Records
-are one JSON object per line so a session log can be tailed, grepped and
-loaded incrementally.  The schema is documented in
-``docs/observability.md``.
+time went (build / warmup / measure).  Records are one JSON object per
+line so a session log can be tailed, grepped and loaded incrementally.
+The schema is documented in ``docs/observability.md``.
+
+:class:`SelfProfile` is the timer behind that ``profile`` field and
+behind every span the execution telemetry ships: it records each timed
+section once, as a span dict on ``time.monotonic``, and sums the
+seconds per name on demand.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, IO
+from typing import IO, Any, Iterator
 
 # v2: fractional-second timestamps plus per-process ``seq``/``pid`` so
 # same-second records (common in tight sweeps) stay totally ordered.
@@ -27,23 +31,42 @@ SCHEMA_VERSION = 2
 
 
 class SelfProfile:
-    """Accumulates wall-clock seconds per named section."""
+    """Records timed sections as span dicts: ``name``, ``start`` and
+    ``end`` (``time.monotonic`` seconds, which on Linux every process on
+    the machine shares, so spans from different processes line up),
+    ``status`` (``ok``, or ``error`` when the section raised) and, when
+    given, ``attrs``.  Spans are kept in the order they closed."""
 
     def __init__(self) -> None:
-        self.seconds: dict[str, float] = {}
+        self.spans: list[dict[str, Any]] = []
 
     @contextmanager
-    def section(self, name: str):
-        start = time.perf_counter()
+    def section(self, name: str, **attrs: Any) -> Iterator[None]:
+        start = time.monotonic()
+        status = "error"
         try:
             yield
+            status = "ok"
         finally:
-            elapsed = time.perf_counter() - start
-            self.seconds[name] = self.seconds.get(name, 0.0) + elapsed
+            self.add(name, start, time.monotonic(), status, **attrs)
+
+    def add(self, name: str, start: float, end: float, status: str = "ok",
+            **attrs: Any) -> None:
+        """Record an interval timed elsewhere."""
+        span: dict[str, Any] = {"name": name, "start": start, "end": end,
+                                "status": status}
+        if attrs:
+            span["attrs"] = attrs
+        self.spans.append(span)
 
     def snapshot(self) -> dict[str, float]:
-        return {name: round(self.seconds[name], 6)
-                for name in sorted(self.seconds)}
+        """Seconds per section name, summed over its spans."""
+        seconds: dict[str, float] = {}
+        for span in self.spans:
+            name = span["name"]
+            elapsed = span["end"] - span["start"]
+            seconds[name] = seconds.get(name, 0.0) + elapsed
+        return {name: round(seconds[name], 6) for name in sorted(seconds)}
 
 
 # Per-process monotonic record counter: same-timestamp records (even at

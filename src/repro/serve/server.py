@@ -30,8 +30,9 @@ Every stage emits ``serve.*`` probes through a private
 turns them into the counters/histograms behind ``GET /metrics`` and the
 ``repro report`` service section.
 
-The live observability plane (PR 9) rides the same spine: pool workers
-stream in-flight progress frames that land on jobs (so
+The live observability plane rides the same spine: pool workers
+stream in-flight progress frames, at the fixed cadences of
+:mod:`repro.obs.progress`, that land on jobs (so
 ``GET /jobs/<id>?wait=S`` long-polls until something changes),
 ``GET /events`` streams job/progress/breaker events as chunked ndjson,
 ``GET /metrics`` speaks Prometheus text exposition under content
@@ -61,7 +62,6 @@ from repro.obs.metrics import (
     prometheus_exposition,
 )
 from repro.obs.probes import ProbeBus
-from repro.obs.progress import ProgressConfig
 from repro.serve.breaker import OPEN, CircuitBreaker
 from repro.serve.events import EventBroker, MetricsRing
 from repro.serve.queue import (
@@ -75,6 +75,10 @@ from repro.serve.queue import (
 from repro.serve.store import ResultStore
 
 SERVE_VERSION = 1
+
+# Seconds between the scheduler's gauge samples into the metrics
+# history (``GET /metrics/history``, ``serve.sample`` ledger records).
+SAMPLE_INTERVAL_S = 2.0
 
 _SCALES = ("tiny", "bench", "default")
 _SUBMIT_FIELDS = {"workload", "technique", "scale", "warmup", "measure"}
@@ -108,8 +112,6 @@ class ServeConfig:
     breaker_cooldown_s: float = 300.0
     drain_timeout_s: float = 30.0
     faults: FaultPlan | None = None   # injected faults (tests, demos)
-    progress_interval: int = 1_000    # instructions between frames; 0 = off
-    sample_interval_s: float = 2.0    # metrics-history push cadence
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -126,14 +128,6 @@ class ServeConfig:
             raise ValueError(
                 f"ServeConfig.drain_timeout_s must be >= 0, "
                 f"got {self.drain_timeout_s}")
-        if self.progress_interval < 0:
-            raise ValueError(
-                f"ServeConfig.progress_interval must be >= 0, "
-                f"got {self.progress_interval}")
-        if self.sample_interval_s <= 0:
-            raise ValueError(
-                f"ServeConfig.sample_interval_s must be > 0, "
-                f"got {self.sample_interval_s}")
 
 
 def install_serve_metrics(bus: ProbeBus,
@@ -237,12 +231,8 @@ class ReproServer:
         self.breaker = CircuitBreaker(threshold=config.breaker_threshold,
                                       cooldown_s=config.breaker_cooldown_s)
         self.pool = WorkerPool(config.workers, timeout_s=config.timeout_s,
-                               faults=config.faults,
-                               on_event=self._on_worker_event,
-                               progress=(ProgressConfig(
-                                   interval=config.progress_interval)
-                                   if config.progress_interval > 0
-                                   else None))
+                               faults=config.faults, progress=True,
+                               on_event=self._on_worker_event)
         self.events = EventBroker()
         self.history = MetricsRing()
         self._last_sample = 0.0
@@ -466,7 +456,7 @@ class ReproServer:
             for completion in self.pool.poll(0.1):
                 self._handle(completion)
             now = time.monotonic()
-            if now - self._last_sample >= self.config.sample_interval_s:
+            if now - self._last_sample >= SAMPLE_INTERVAL_S:
                 self._last_sample = now
                 self._push_sample()
             if self._draining:

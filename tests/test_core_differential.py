@@ -21,8 +21,10 @@ from repro.analysis import (
     LoadClass,
     StrideAnalysis,
     build_cfg,
+    build_plan,
     collect_trace,
     taint_chain,
+    validate_plan,
 )
 from repro.cores.functional import FunctionalCore
 from repro.cores.inorder import InOrderCore
@@ -219,7 +221,12 @@ def test_dynamic_chains_stay_inside_static_chains(spec):
     """The containment invariant of ``tests/test_static_vs_dynamic.py``
     on generated programs: every pc the SVR unit's rounds treated as
     dependent lies in the static taint chain of a seed it used, and a
-    statically striding seed's rounds use its static stride."""
+    statically striding seed's rounds use its static stride.
+
+    The same trace then validates the program's vectorization plan.
+    Every claim must hold except memdep's *assumed* ``distinct-regions``
+    independence: it is the claim the oracle exists to check, and the
+    generator's one ``data`` array is a real counterexample to it."""
     program, memory = build(spec)
     oracle = collect_trace(program, memory, max_steps=MAX_INSTRUCTIONS)
     cfg = build_cfg(program)
@@ -230,6 +237,15 @@ def test_dynamic_chains_stay_inside_static_chains(spec):
         if loads[pc].load_class is LoadClass.STRIDING:
             assert strides == {loads[pc].stride}, pc
     assert oracle.dependents <= static_union
+
+    plan = build_plan(program)
+    assumed = {(edge.src_pc, edge.dst_pc) for lp in plan.loops
+               for edge in lp.deps.edges if edge.basis == "assumed"}
+    for violation in validate_plan(program, plan, oracle).violations:
+        assert (violation.kind == "independence"
+                and violation.pcs in assumed
+                and violation.detail.startswith(
+                    "regions assumed disjoint")), str(violation)
 
 
 def test_loop_shape_makes_svr_and_vr_act():

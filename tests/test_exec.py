@@ -11,7 +11,6 @@ from repro.exec import (
     ExecConfig,
     FaultPlan,
     FaultSpec,
-    ProgressConfig,
     ResultView,
     RunFailure,
     RunJournal,
@@ -229,19 +228,33 @@ class TestIsolatedExecution:
             pids = [s["attrs"]["pid"] for s in spans if s["name"] == name]
             assert sorted(pids) == sorted(workers)
 
-    def test_advancing_cell_outlives_the_wall_clock_fence(self):
+    def test_advancing_cell_outlives_the_wall_clock_fence(self,
+                                                          monkeypatch):
         # ~1.5 s of simulation against a 0.4 s fence: progress frames
         # that advance the simulated clock keep pushing the fence out.
+        from repro.exec.executor import WorkerPool
+        from repro.obs import progress
+
+        monkeypatch.setattr(progress, "INTERVAL_INSTRUCTIONS", 500)
+        monkeypatch.setattr(progress, "MIN_INTERVAL_S", 0.0)
         spec = RunSpec.make("Camel", "inorder", scale="bench",
                             measure=300_000)
-        fenced = run_cells([spec], _quiet(timeout_s=0.4, retries=0))
-        (failure,) = fenced.failures
-        assert failure.kind == HANG
-        assert "wall-clock timeout" in failure.message
-        report = run_cells([spec], _quiet(
-            timeout_s=0.4, retries=0,
-            progress=ProgressConfig(interval=500, min_interval_s=0.0)))
-        assert report.ok_count == 1
+
+        def settle(pool):
+            pool.dispatch(spec, 1)
+            try:
+                done = []
+                while not done:
+                    done = pool.poll()
+            finally:
+                pool.stop()
+            (completion,) = done
+            return completion
+
+        fenced = settle(WorkerPool(1, timeout_s=0.4))
+        assert fenced.failure.kind == HANG
+        assert "wall-clock timeout" in fenced.failure.message
+        assert settle(WorkerPool(1, timeout_s=0.4, progress=True)).ok
 
 
 class TestWorkerPoolDrain:

@@ -1,12 +1,12 @@
 """The live observability plane: progress frames from the core run
-loops up through the executor, the serve pool, long-polling, event
-streaming and Prometheus exposition.
+loop up through the serve worker pool, long-polling, event streaming
+and Prometheus exposition.
 
 Unit layers use fakes (a fake core, a manual clock); the HTTP layers
 run a real ReproServer on an ephemeral port, mirroring
 ``test_serve_http``.  The invariants that matter:
 
-* disabled progress is byte-identical to the pre-progress hot path;
+* a run that reports progress computes exactly what one without does;
 * frames advance monotonically in simulated time;
 * a long-poll timeout is a 200 with the current state, never an error;
 * a client vanishing mid-``/events`` stream leaves the scheduler (and
@@ -22,19 +22,17 @@ import urllib.request
 
 import pytest
 
-from repro.exec import ExecConfig, RunSpec, run_cells
+from repro.exec import RunSpec
+from repro.exec.executor import WorkerPool
+from repro.obs import progress as progress_module
 from repro.obs.metrics import (
     MetricsRegistry,
     prometheus_exposition,
     prometheus_name,
 )
-from repro.obs.progress import (
-    ProgressConfig,
-    ProgressFrame,
-    ProgressReporter,
-    advancing,
-)
+from repro.obs.progress import ProgressReporter, advancing
 from repro.serve import EventBroker, JobQueue, MetricsRing
+from repro.serve import server as server_module
 from repro.serve.queue import RUNNING
 from repro.serve.top import (
     frame_eta_s,
@@ -73,6 +71,14 @@ class ManualClock:
         return self.now
 
 
+@pytest.fixture
+def fast_frames(monkeypatch):
+    """Sample every 200 instructions, with no wall-clock floor.  A pool
+    forks its workers after this is set, so they inherit it."""
+    monkeypatch.setattr(progress_module, "INTERVAL_INSTRUCTIONS", 200)
+    monkeypatch.setattr(progress_module, "MIN_INTERVAL_S", 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Reporter unit behaviour.
 # ---------------------------------------------------------------------------
@@ -80,52 +86,39 @@ class ManualClock:
 class TestProgressReporter:
     def test_frames_carry_sim_state_and_sequence(self):
         clock, frames = ManualClock(), []
-        reporter = ProgressReporter(frames.append, min_interval_s=0.0,
-                                    workload="w", technique="t",
-                                    clock=clock)
-        reporter.annotate(target_instructions=10_000)
+        reporter = ProgressReporter(frames.append, clock=clock)
+        reporter.annotate(workload="w", technique="t",
+                          target_instructions=10_000)
         reporter.set_phase("measure")
         core = FakeCore(cycle=500.0, instructions=2_500, pc=64)
         clock.now += 3.0
         frame = reporter.sample(core)
         assert frame is frames[0]
-        assert frame.seq == 0 and frame.phase == "measure"
-        assert frame.cycle == 500.0 and frame.instructions == 2_500
-        assert frame.pc == 64 and frame.workload == "w"
-        assert frame.wall_s == pytest.approx(3.0)
-        assert frame.fraction == pytest.approx(0.25)
-        round_trip = ProgressFrame.from_dict(frame.to_dict())
-        assert round_trip == frame
+        assert frame == {"seq": 0, "phase": "measure", "workload": "w",
+                         "technique": "t", "cycle": 500.0,
+                         "instructions": 2_500,
+                         "target_instructions": 10_000, "ipc": 1.0,
+                         "pc": 64, "episodes": 0, "wall_s": 3.0}
+        assert frame_fraction(frame) == pytest.approx(0.25)
 
     def test_wall_clock_rate_limit_and_force(self):
         clock, frames = ManualClock(), []
-        reporter = ProgressReporter(frames.append, min_interval_s=0.5,
-                                    clock=clock)
+        reporter = ProgressReporter(frames.append, clock=clock)
         core = FakeCore()
         assert reporter.sample(core) is not None
-        clock.now += 0.1
+        clock.now += progress_module.MIN_INTERVAL_S / 2
         assert reporter.sample(core) is None      # inside the floor
         assert reporter.sample(core, force=True) is not None
-        clock.now += 0.6
+        clock.now += progress_module.MIN_INTERVAL_S * 3
         assert reporter.sample(core) is not None
-        assert [f.seq for f in frames] == [0, 1, 2]
+        assert [f["seq"] for f in frames] == [0, 1, 2]
 
     def test_finish_emits_done_frame(self):
         frames = []
-        reporter = ProgressReporter(frames.append, min_interval_s=10.0,
-                                    clock=ManualClock())
-        reporter.finish(FakeCore(cycle=9.0))
-        assert frames[-1].phase == "done"
-
-    def test_config_validation_and_factory(self):
-        with pytest.raises(ValueError):
-            ProgressConfig(interval=0)
-        with pytest.raises(ValueError):
-            ProgressConfig(min_interval_s=-1.0)
-        sink = []
-        reporter = ProgressConfig(interval=7).reporter(
-            sink.append, workload="w", technique="t")
-        assert reporter.interval == 7 and reporter.workload == "w"
+        reporter = ProgressReporter(frames.append, clock=ManualClock())
+        reporter.sample(FakeCore())
+        reporter.finish(FakeCore(cycle=9.0))      # forced past the floor
+        assert [f["phase"] for f in frames] == ["build", "done"]
 
     def test_advancing_semantics(self):
         base = {"cycle": 10.0, "instructions": 100}
@@ -148,52 +141,63 @@ class TestCoreProgress:
         return run("PR_KR", technique, scale="tiny", progress=progress)
 
     @pytest.mark.parametrize("technique", ["inorder", "svr16", "vr64"])
-    def test_enabled_run_emits_monotonic_frames(self, technique):
+    def test_enabled_run_emits_monotonic_frames(self, technique,
+                                                fast_frames):
         frames = []
-        reporter = ProgressReporter(frames.append, interval=200,
-                                    min_interval_s=0.0)
-        result = self._run(technique, progress=reporter)
-        assert len(frames) >= 3
-        cycles = [f.cycle for f in frames]
-        instructions = [f.instructions for f in frames]
+        result = self._run(technique,
+                           progress=ProgressReporter(frames.append))
+        # A sample between every two 200-instruction chunks of each
+        # window, plus the forced measure-start and done frames.
+        assert len(frames) >= 5_000 // 200
+        cycles = [f["cycle"] for f in frames]
+        instructions = [f["instructions"] for f in frames]
         assert cycles == sorted(cycles)
         assert instructions == sorted(instructions)
-        assert any(f.phase == "measure" for f in frames)
-        assert frames[-1].phase == "done"
-        assert frames[-1].target_instructions is not None
-        assert frames[0].workload == "PR_KR"
+        assert any(f["phase"] == "measure" for f in frames)
+        assert frames[-1]["phase"] == "done"
+        assert frames[-1]["target_instructions"] == 5_000
+        assert frames[0]["workload"] == "PR_KR"
         assert result.ipc > 0
 
-    def test_disabled_progress_changes_nothing(self):
+    def test_disabled_progress_changes_nothing(self, fast_frames):
         baseline = self._run("svr16")
         with_progress = self._run(
-            "svr16", progress=ProgressReporter(lambda _f: None,
-                                               interval=500,
-                                               min_interval_s=0.0))
+            "svr16", progress=ProgressReporter(lambda _f: None))
         assert with_progress.to_dict() == baseline.to_dict()
 
 
 # ---------------------------------------------------------------------------
-# Executor integration: frames over the result pipe.
+# Worker pool integration: frames over the result pipe.
 # ---------------------------------------------------------------------------
 
 class TestExecutorProgress:
-    def test_isolated_run_reports_progress_frames(self):
-        from repro.obs.probes import ProbeBus
-
-        bus = ProbeBus()
+    def test_isolated_run_reports_progress_frames(self, fast_frames):
         seen = []
-        bus.subscribe("exec.progress", lambda _n, ev: seen.append(ev))
+
+        def on_event(event, **fields):
+            if event == "progress":
+                seen.append(fields)
+
         spec = RunSpec.make("PR_KR", "svr16", scale="tiny")
-        config = ExecConfig(jobs=1, timeout_s=60.0, bus=bus,
-                            progress=ProgressConfig(interval=200,
-                                                    min_interval_s=0.0))
-        report = run_cells([spec], config)
-        assert report.ok_count == 1
+        pool = WorkerPool(1, timeout_s=60.0, progress=True,
+                          on_event=on_event)
+        pool.dispatch(spec, 1)
+        try:
+            done = []
+            while not done:
+                done = pool.poll()
+        finally:
+            pool.stop()
+        (completion,) = done
+        assert completion.ok
         assert len(seen) >= 3
-        cycles = [ev["cycle"] for ev in seen]
+        assert all(ev["key"] == spec.key and ev["attempt"] == 1
+                   for ev in seen)
+        frames = [ev["frame"] for ev in seen]
+        cycles = [f["cycle"] for f in frames]
         assert cycles == sorted(cycles)
-        assert all(ev["workload"] == "PR_KR" for ev in seen)
+        assert all(f["workload"] == "PR_KR" for f in frames)
+        assert frames[-1]["phase"] == "done"
 
 
 # ---------------------------------------------------------------------------
@@ -346,10 +350,16 @@ class TestPrometheus:
 @pytest.fixture(scope="module")
 def live_server(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("serve-live")
-    server = start_server(tmp, retries=0, timeout_s=60.0, queue_limit=16,
-                          progress_interval=200, sample_interval_s=0.2)
-    yield server
-    stop_server(server)
+    with pytest.MonkeyPatch.context() as patch:
+        # Faster cadences than serve's: frames every 200 instructions
+        # (workers fork later, inheriting the patch) and a gauge sample
+        # every 0.2 s.
+        patch.setattr(progress_module, "INTERVAL_INSTRUCTIONS", 200)
+        patch.setattr(server_module, "SAMPLE_INTERVAL_S", 0.2)
+        server = start_server(tmp, retries=0, timeout_s=60.0,
+                              queue_limit=16)
+        yield server
+        stop_server(server)
 
 
 class TestLiveHTTP:

@@ -320,10 +320,8 @@ class TestOneCountingPath:
 
     def test_every_simulator_probe_has_a_subscriber(self, monkeypatch):
         """A probe the simulator creates must feed something in ``src/``:
-        the metrics, the Chrome trace, the span bridge or ``repro
-        trace``."""
+        the metrics, the Chrome trace or ``repro trace``."""
         from repro.harness import trace as ascii_trace
-        from repro.obs import SpanTracer, bridge_probe_spans
 
         class RecordingBus(ProbeBus):
             def __init__(self):
@@ -337,7 +335,6 @@ class TestOneCountingPath:
         subscribed = RecordingBus()
         install_standard_metrics(subscribed, MetricsRegistry())
         ChromeTraceBuilder().attach(subscribed)
-        bridge_probe_spans(SpanTracer(), subscribed)
         monkeypatch.setattr(ascii_trace, "ProbeBus", lambda: subscribed)
         ascii_trace.capture("Camel", "svr16", warmup=10, count=10)
 
@@ -432,6 +429,12 @@ class TestSelfProfile:
         snap = profile.snapshot()
         assert list(snap) == ["build", "measure"]
         assert all(v >= 0.0 for v in snap.values())
+        # Each section is recorded once, as a span; the snapshot sums.
+        assert [s["name"] for s in profile.spans] == [
+            "measure", "measure", "build"]
+        measure = sum(s["end"] - s["start"] for s in profile.spans
+                      if s["name"] == "measure")
+        assert snap["measure"] == round(measure, 6)
 
 
 class TestChromeTrace:

@@ -56,6 +56,26 @@ class TestReportCommand:
         assert data["metrics"]["core.instructions"]["kind"] == "counter"
         assert data["resources"]["cells"] == 3
 
+    def test_json_aggregates_equal_the_run_that_wrote_it(self, tmp_path,
+                                                         capsys):
+        """The dashboard aggregates a journal with the executor's own
+        functions, so it reports what the run reported."""
+        from repro.exec import ExecConfig, RunSpec, TelemetryConfig, run_cells
+        from repro.obs.probes import ProbeBus
+
+        path = tmp_path / "journal.jsonl"
+        specs = [RunSpec.make(w, t, scale="tiny") for w, t in (
+            ("Randacc", "svr16"), ("Camel", "inorder"), ("HJ2", "svr16"))]
+        report = run_cells(specs, ExecConfig(
+            jobs=2, journal=str(path), telemetry=TelemetryConfig(),
+            bus=ProbeBus()))
+        assert main(["report", "--journal", str(path),
+                     "-o", str(tmp_path / "r.html"), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["metrics"] == json.loads(json.dumps(
+            report.merged_metrics()))
+        assert data["resources"] == report.resources()
+
     def test_bench_dir_trajectory(self, tmp_path, capsys):
         for stamp in ("20260807", "20260808"):
             snap = dict(BENCH_SNAPSHOT,

@@ -387,3 +387,11 @@ class TestServeFlags:
         err = capsys.readouterr().err
         assert err.startswith("serve: ")
         assert "Traceback" not in err
+
+    def test_cadence_flags_are_gone(self, capsys):
+        # The live plane's cadences are constants, not flags.
+        with pytest.raises(SystemExit):
+            main(["serve", "--help"])
+        usage = capsys.readouterr().out
+        assert "--progress-interval" not in usage
+        assert "--sample-interval" not in usage

@@ -1,143 +1,62 @@
-"""Span tracer: hierarchy, clocks, bounded buffers, probe bridging, and
-the Chrome-event rendering."""
+"""Phase spans: the one phase timer's span dicts, and their Chrome-event
+rendering."""
 
 import pytest
 
-from repro.obs import (
-    SpanTracer,
-    bridge_probe_spans,
-    spans_to_trace_events,
-)
-from repro.obs.probes import ProbeBus
-from repro.obs.spans import CYCLES, WALL
+from repro.obs import SelfProfile, spans_to_trace_events
 
 
 class TestSpanTracer:
+    """Spans as :class:`SelfProfile` records them."""
+
     def test_begin_end_nesting(self):
-        tracer = SpanTracer()
-        outer = tracer.begin("cell", key="abc")
-        inner = tracer.begin("measure")
-        assert inner.parent_id == outer.span_id
-        tracer.end(inner)
-        tracer.end(outer)
-        spans = tracer.export()
-        assert [s["name"] for s in spans] == ["measure", "cell"]
-        assert spans[1]["attrs"] == {"key": "abc"}
-        assert all(s["end"] >= s["start"] for s in spans)
-        assert all(s["clock"] == WALL for s in spans)
+        profile = SelfProfile()
+        with profile.section("cell", key="abc"):
+            with profile.section("measure"):
+                pass
+        measure, cell = profile.spans
+        assert [measure["name"], cell["name"]] == ["measure", "cell"]
+        assert cell["attrs"] == {"key": "abc"}
+        assert "attrs" not in measure
+        assert cell["start"] <= measure["start"] <= measure["end"] \
+            <= cell["end"]
+        assert all(s["status"] == "ok" for s in profile.spans)
 
     def test_context_manager_records_error_status(self):
-        tracer = SpanTracer()
+        profile = SelfProfile()
         with pytest.raises(RuntimeError):
-            with tracer.span("measure"):
+            with profile.section("measure"):
                 raise RuntimeError("boom")
-        (span,) = tracer.export()
+        (span,) = profile.spans
         assert span["status"] == "error"
-        assert span["end"] is not None
-
-    def test_end_closes_dangling_children_as_abandoned(self):
-        tracer = SpanTracer()
-        outer = tracer.begin("cell")
-        tracer.begin("measure")          # never explicitly ended
-        tracer.end(outer)
-        by_name = {s["name"]: s for s in tracer.export()}
-        assert by_name["measure"]["status"] == "abandoned"
-        assert by_name["cell"]["status"] == "ok"
-        assert tracer.current is None
-
-    def test_end_without_open_span_raises(self):
-        with pytest.raises(RuntimeError):
-            SpanTracer().end()
-
-    def test_buffer_bound_counts_drops(self):
-        tracer = SpanTracer(max_spans=2)
-        for i in range(5):
-            tracer.add("s", float(i), float(i + 1))
-        assert len(tracer.export()) == 2
-        assert tracer.dropped == 3
-
-    def test_add_attaches_to_open_span_by_default(self):
-        tracer = SpanTracer()
-        outer = tracer.begin("attempt")
-        added = tracer.add("spawn", 1.0, 2.0)
-        assert added.parent_id == outer.span_id
-        explicit = tracer.add("reap", 3.0, 4.0, parent=7)
-        assert explicit.parent_id == 7
+        assert span["end"] >= span["start"]
 
 
 class TestSpansToTraceEvents:
     def test_wall_spans_become_complete_slices(self):
-        tracer = SpanTracer()
-        with tracer.span("cell", key="k"):
+        profile = SelfProfile()
+        with profile.section("cell", key="k"):
             pass
-        events = spans_to_trace_events(tracer.export(), pid=42, tid=9)
+        events = spans_to_trace_events(profile.spans, pid=42, tid=9)
         (event,) = events
         assert event["ph"] == "X"
         assert event["pid"] == 42 and event["tid"] == 9
         assert event["name"] == "cell"
-        assert event["args"]["key"] == "k"
+        assert event["args"] == {"key": "k", "status": "ok"}
         assert event["dur"] > 0
 
     def test_cycle_clock_spans_are_skipped(self):
-        tracer = SpanTracer()
-        tracer.add("prm", 100.0, 130.0, clock=CYCLES)
-        tracer.add("wall", 1.0, 2.0)
-        events = spans_to_trace_events(tracer.export(), pid=1)
-        assert [e["name"] for e in events] == ["wall"]
+        # Journals written before the one phase timer hold a cycle-clock
+        # span per PRM episode; their timebase is not the wall clock.
+        spans = [{"name": "prm", "id": 2, "start": 100.0, "end": 130.0,
+                  "clock": "cycles", "status": "ok"},
+                 {"name": "measure", "id": 1, "start": 1.0, "end": 2.0,
+                  "clock": "wall", "status": "ok"},
+                 {"name": "cell", "start": 0.5, "end": 2.5,
+                  "status": "ok"}]
+        events = spans_to_trace_events(spans, pid=1)
+        assert [e["name"] for e in events] == ["measure", "cell"]
 
     def test_open_spans_are_skipped(self):
-        tracer = SpanTracer()
-        tracer.begin("never-closed")
-        # export() only holds closed spans, but a hand-built dict with
-        # end=None must not crash the renderer either.
-        spans = [{"name": "open", "clock": WALL, "start": 1.0,
-                  "end": None}]
+        spans = [{"name": "open", "start": 1.0, "end": None}]
         assert spans_to_trace_events(spans, pid=1) == []
-
-
-class TestProbeBridge:
-    def test_prm_episode_becomes_cycle_span(self):
-        bus = ProbeBus()
-        tracer = SpanTracer()
-        subs = bridge_probe_spans(tracer, bus)
-        bus.probe("svr.prm_enter").emit(pc=4, time=100.0, length=16,
-                                        stride=8, addr=0)
-        bus.probe("svr.prm_exit").emit(cause="hslr", time=130.0,
-                                       duration=30.0, instructions=10,
-                                       pc=4)
-        for sub in subs:
-            sub.cancel()
-        (span,) = tracer.export()
-        assert span["name"] == "prm"
-        assert span["clock"] == CYCLES
-        assert span["start"] == 100.0 and span["end"] == 130.0
-        assert span["attrs"]["cause"] == "hslr"
-        assert span["attrs"]["length"] == 16
-
-    def test_exit_without_enter_is_ignored(self):
-        bus = ProbeBus()
-        tracer = SpanTracer()
-        bridge_probe_spans(tracer, bus)
-        bus.probe("svr.prm_exit").emit(cause="hslr", time=130.0,
-                                       duration=30.0, instructions=10,
-                                       pc=4)
-        assert tracer.export() == []
-
-    def test_watchdog_becomes_error_marker(self):
-        bus = ProbeBus()
-        tracer = SpanTracer()
-        bridge_probe_spans(tracer, bus)
-        bus.probe("core.watchdog").emit(kind="cycles", cycle=5e9, pc=8)
-        (span,) = tracer.export()
-        assert span["name"] == "watchdog"
-        assert span["status"] == "error"
-        assert span["start"] == span["end"] == 5e9
-
-    def test_cancelled_bridge_stops_recording(self):
-        bus = ProbeBus()
-        tracer = SpanTracer()
-        subs = bridge_probe_spans(tracer, bus)
-        for sub in subs:
-            sub.cancel()
-        bus.probe("core.watchdog").emit(kind="cycles", cycle=1.0, pc=0)
-        assert tracer.export() == []

@@ -19,6 +19,7 @@ from repro.obs import merge_typed_snapshots, typed_to_plain, validate_trace
 from repro.obs.probes import ProbeBus
 
 TINY = [("Camel", "svr16"), ("Camel", "inorder"), ("Randacc", "svr16")]
+PHASES = ("build", "warmup", "measure")
 
 
 def _specs():
@@ -29,6 +30,17 @@ def _config(**kw):
     kw.setdefault("telemetry", TelemetryConfig())
     kw.setdefault("bus", ProbeBus())      # keep the default bus quiet
     return ExecConfig(**kw)
+
+
+def _assert_phase_spans(telem):
+    """Exactly the four phase spans, each phase inside the cell span."""
+    spans = {s["name"]: s for s in telem["spans"]}
+    assert len(telem["spans"]) == 4
+    assert set(spans) == {"cell", *PHASES}
+    cell = spans["cell"]
+    for name in PHASES:
+        assert (cell["start"] <= spans[name]["start"]
+                <= spans[name]["end"] <= cell["end"])
 
 
 def _process_names(trace):
@@ -47,14 +59,14 @@ class TestInlineCapture:
         records = report.telemetry_records()
         assert len(records) == 3
         for telem in records:
-            assert telem["v"] == 1
+            assert telem["v"] == 2
             assert telem["status"] == "ok"
             assert telem["cpu_s"] >= 0.0
             assert telem["max_rss_kib"] > 0
-            assert "start" in telem["measure_wall"]
-            assert "end" in telem["measure_wall"]
-            names = {s["name"] for s in telem["spans"]}
-            assert {"cell", "build", "warmup", "measure"} <= names
+            _assert_phase_spans(telem)
+            assert not {"profile", "measure_wall", "spans_dropped"} & set(
+                telem)
+            assert set(telem["measure_cycles"]) == {"start", "end"}
             assert telem["metrics"]["core.instructions"]["kind"] == \
                 "counter"
 
@@ -144,6 +156,20 @@ class TestTraceTail:
             assert (moved["ts"] - 50.0e6) / 0.5e6 == pytest.approx(
                 (raw["ts"] - 1_000.0) / 9_000.0)
 
+    def test_open_prm_episode_ships_as_a_window_end_slice(self):
+        """A PRM episode still open when the measured window closes ships
+        as one ``PRM (open)`` slice, as ``repro run --chrome-trace``
+        draws it, and the tail stays bounded."""
+        from repro.exec.telemetry import TRACE_TAIL
+
+        spec = RunSpec.make("BC_LJN", "svr16", scale="tiny")
+        (telem,) = run_cells([spec], _config()).telemetry_records()
+        events = telem["trace_events"]
+        assert len(events) <= TRACE_TAIL
+        opened = [ev for ev in events if ev["name"] == "PRM (open)"]
+        assert len(opened) == 1
+        assert opened[0]["args"]["cause"] == "window-end"
+
 
 class TestIsolatedCapture:
     def test_workers_ship_telemetry_over_the_pipe(self):
@@ -155,8 +181,8 @@ class TestIsolatedCapture:
         assert os.getpid() not in pids
         for telem in records:
             assert telem["max_rss_kib"] > 0
-            assert {"cell", "measure"} <= {s["name"]
-                                           for s in telem["spans"]}
+            assert telem["v"] == 2
+            _assert_phase_spans(telem)
 
     def test_merged_trace_has_one_track_per_worker(self):
         report = run_cells(_specs(), _config(jobs=2))
@@ -242,6 +268,61 @@ class TestJournalTransport:
         assert resources["cells"] == 3
         assert resources["pids"] == fresh.resources()["pids"]
         assert validate_trace(resumed.trace()) == []
+
+    def test_version_1_journal_resumes_and_renders(self, tmp_path, capsys):
+        """A journal written before the one phase timer (telemetry v1:
+        a cycle-clock ``prm`` span per PRM episode, ``measure_wall``,
+        ``profile`` and ``spans_dropped``) still resumes, merges into a
+        valid trace without drawing the cycle-clock spans, and renders
+        in ``repro report``."""
+        from repro.__main__ import main
+
+        journal = tmp_path / "journal.jsonl"
+        spec = _specs()[0]
+        run_cells([spec], _config(journal=str(journal)))
+        records = [json.loads(line)
+                   for line in journal.read_text().splitlines()]
+        (cell,) = [r for r in records if r.get("event") == "cell"]
+        cell["telemetry"] = _as_version_1(cell["telemetry"])
+        journal.write_text("".join(json.dumps(r) + "\n" for r in records))
+
+        resumed = run_cells([spec], _config(journal=str(journal),
+                                            resume=True))
+        assert resumed.cached_count == 1 and resumed.attempted_count == 0
+        trace = resumed.trace()
+        assert validate_trace(trace) == []
+        pid = cell["telemetry"]["pid"]
+        slices = [ev["name"] for ev in trace["traceEvents"]
+                  if ev.get("cat") == "span" and ev["pid"] == pid]
+        assert slices.count("measure") == 1
+        assert "prm" not in slices
+
+        assert main(["report", "--journal", str(journal),
+                     "-o", str(tmp_path / "r.html"), "--json"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert [c["key"] for c in data["cells"]] == [spec.key]
+        assert data["metrics"] == json.loads(json.dumps(
+            resumed.merged_metrics()))
+
+
+def _as_version_1(telem):
+    """*telem* in the shape the version-1 capture wrote: span ids and
+    clocks, a cycle-clock ``prm`` span inside the measured window, the
+    window's wall bounds, the per-phase profile and the drop count."""
+    spans = [dict(s, id=i + 1, clock="wall")
+             for i, s in enumerate(telem["spans"])]
+    measure = next(s for s in spans if s["name"] == "measure")
+    cycles = telem["measure_cycles"]
+    spans.insert(0, {"name": "prm", "id": len(spans) + 1,
+                     "parent": measure["id"], "clock": "cycles",
+                     "start": cycles["start"] + 10.0,
+                     "end": cycles["start"] + 50.0, "status": "ok",
+                     "attrs": {"cause": "hslr", "pc": 4, "length": 16}})
+    return dict(telem, v=1, spans=spans, spans_dropped=0,
+                measure_wall={"start": measure["start"],
+                              "end": measure["end"]},
+                profile={s["name"]: round(s["end"] - s["start"], 6)
+                         for s in spans if s["name"] in PHASES})
 
 
 class TestResourceSummary:
