@@ -47,25 +47,25 @@ def main() -> None:
         shown = f"{value:.3f}" if value is not None else "FAILED"
         print(f"  vector_length={combo[0]:<4} speedup {shown}")
 
-    res = report.resources()
+    res = report.exec_report.resources()
     print(f"\nresources: {res['cells']} cells, cpu {res['cpu_s']:.2f}s, "
           f"max rss {res['max_rss_kib'] // 1024} MiB, "
           f"{len(res['pids'])} worker pid(s)")
 
     print("\nper-cell samples (shipped over the worker result pipe):")
-    for telem in report.telemetry_records():
+    for telem in report.exec_report.telemetry_records():
         spans = {s["name"] for s in telem.get("spans", ())}
         print(f"  pid {telem['pid']}  "
               f"{telem['workload']}/{telem['technique']:<22} "
               f"cpu {telem['cpu_s']:.3f}s  "
               f"spans {sorted(spans & {'build', 'warmup', 'measure'})}")
 
-    merged = report.merged_metrics()
+    merged = report.exec_report.merged_metrics()
     instr = merged.get("core.instructions", {}).get("value", 0)
     print(f"\nmerged metrics: {len(merged)} series; "
           f"core.instructions (summed across workers) = {instr}")
 
-    trace = report.trace()
+    trace = report.exec_report.trace()
     trace_path = outdir / "trace.json"
     write_trace(trace, trace_path)
     problems = validate_trace(trace)

@@ -21,8 +21,8 @@ Commands
                                   ``BENCH_*.json`` trajectory files
 ``serve [options]``               long-lived simulation service: warm
                                   worker pool, bounded job queue,
-                                  circuit breakers and a crash-safe
-                                  content-addressed result cache
+                                  circuit breakers, and a checksummed
+                                  ledger that is its result cache
 ``submit WORKLOAD TECH [opts]``   submit one cell to a running server
                                   (``--wait`` polls to the verdict)
 ``jobs [options]``                list a running server's jobs / health
@@ -41,8 +41,8 @@ resilient executor (:mod:`repro.exec`) and share its flags: ``--jobs N``
 (parallel fault-isolated workers), ``--timeout SECONDS`` (wall-clock kill
 fence per cell), ``--retries N``, ``--journal PATH`` +  ``--resume``
 (checkpoint cells and re-run only what failed), and
-``--inject WORKLOAD/TECH:KIND[:TIMES]`` + ``--fault-seed`` (deterministic
-fault injection for drills).  Failed cells render as ``-``/``FAILED``
+``--inject WORKLOAD/TECH:KIND[:TIMES]`` (deterministic fault injection
+for drills).  Failed cells render as ``-``/``FAILED``
 with a structured failure summary on stderr and exit status 1.
 
 CLI exec runs capture per-cell telemetry by default — phase spans, a
@@ -219,8 +219,7 @@ def _build_exec_config(args):
 
     faults = None
     if args.inject:
-        faults = FaultPlan(specs=tuple(parse_fault(t) for t in args.inject),
-                           seed=args.fault_seed)
+        faults = FaultPlan(specs=tuple(parse_fault(t) for t in args.inject))
     # CLI runs default to telemetry ON (the journald/report pipeline
     # feeds on it); library users opt in via ExecConfig directly, and
     # the bench harness never sets it — keeping the hot path clean.
@@ -284,9 +283,10 @@ def _cmd_figure(args) -> int:
         sub.cancel()
     elapsed = time.perf_counter() - start
     if args.jsonl:
-        from repro.obs import RunLog, make_record
+        from repro.exec import RunJournal
+        from repro.obs import make_record
 
-        RunLog(args.jsonl).append(make_record(
+        RunJournal(args.jsonl).append(make_record(
             "figure", name=args.name, arguments=log_kwargs, output=out,
             failures=[f.to_dict() for f in failures],
             profile={"figure": round(elapsed, 6)}))
@@ -352,9 +352,10 @@ def _cmd_sweep(args) -> int:
         print(f"sweep: {exc}", file=sys.stderr)
         return 2
     if args.jsonl:
-        from repro.obs import RunLog, make_record
+        from repro.exec import RunJournal
+        from repro.obs import make_record
 
-        RunLog(args.jsonl).append(make_record(
+        RunJournal(args.jsonl).append(make_record(
             "sweep", base=args.base, metric=args.metric, scale=args.scale,
             normalise=not args.no_normalise, workloads=list(workloads),
             axes=[{"path": a.path, "values": list(a.values)} for a in axes],
@@ -374,20 +375,19 @@ def _cmd_sweep(args) -> int:
             indent=2, sort_keys=True, default=str))
     else:
         print(render_sweep(report.values, axes, failures=report.failures))
-        if report.exec_report is not None:
-            print("\n" + report.exec_report.summary().splitlines()[0],
+        print("\n" + report.exec_report.summary().splitlines()[0],
+              file=sys.stderr)
+        resources = report.exec_report.resources()
+        if resources.get("cells"):
+            print(f"telemetry: {resources['cells']} cell(s), "
+                  f"cpu {resources['cpu_s']:.2f}s, "
+                  f"max rss {resources['max_rss_kib']} KiB, "
+                  f"{len(resources['pids'])} worker pid(s)",
                   file=sys.stderr)
-            resources = report.resources()
-            if resources.get("cells"):
-                print(f"telemetry: {resources['cells']} cell(s), "
-                      f"cpu {resources['cpu_s']:.2f}s, "
-                      f"max rss {resources['max_rss_kib']} KiB, "
-                      f"{len(resources['pids'])} worker pid(s)",
-                      file=sys.stderr)
     if args.trace:
         from repro.obs import write_trace
 
-        write_trace(report.trace(), args.trace)
+        write_trace(report.exec_report.trace(), args.trace)
         print(f"merged exec trace written to {args.trace} "
               "(open in https://ui.perfetto.dev)", file=sys.stderr)
     return 1 if report.failures else 0
@@ -499,9 +499,10 @@ def _cmd_lint(args) -> int:
     n_err = sum(len(r.errors) for r in reports)
     n_warn = sum(len(r.warnings) for r in reports)
     if args.jsonl:
-        from repro.obs import RunLog, make_record
+        from repro.exec import RunJournal
+        from repro.obs import make_record
 
-        RunLog(args.jsonl).append(make_record(
+        RunJournal(args.jsonl).append(make_record(
             "lint", ok=ok, errors=n_err, warnings=n_warn,
             reports=[r.to_dict() for r in reports]))
     if args.json:
@@ -609,9 +610,10 @@ def _cmd_analyze(args) -> int:
         ],
     }
     if args.jsonl:
-        from repro.obs import RunLog, make_record
+        from repro.exec import RunJournal
+        from repro.obs import make_record
 
-        RunLog(args.jsonl).append(make_record("analyze", **payload))
+        RunJournal(args.jsonl).append(make_record("analyze", **payload))
     if args.json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0 if ok else 1
@@ -676,14 +678,13 @@ def _cmd_serve(args) -> int:
 
     faults = None
     if args.inject:
-        faults = FaultPlan(specs=tuple(parse_fault(t) for t in args.inject),
-                           seed=args.fault_seed)
+        faults = FaultPlan(specs=tuple(parse_fault(t) for t in args.inject))
     try:
         config = ServeConfig(
             host=args.host, port=args.port, workers=args.workers,
             queue_limit=args.queue_limit,
             timeout_s=args.timeout or None, retries=args.retries,
-            store_dir=args.store, ledger=args.ledger or None,
+            ledger=args.ledger,
             breaker_threshold=args.breaker_threshold,
             breaker_cooldown_s=args.breaker_cooldown,
             drain_timeout_s=args.drain_timeout, faults=faults)
@@ -705,7 +706,7 @@ def _cmd_serve(args) -> int:
         pass
     health = server.health()
     print(f"repro serve drained ({server._drain_reason or 'done'}): "
-          f"{health['store']['entries']} stored result(s), "
+          f"{health['results']} cached result(s), "
           f"{health['worker_restarts']} worker restart(s)",
           file=sys.stderr)
     return 0
@@ -764,7 +765,7 @@ def _cmd_jobs(args) -> int:
           f"queue {health['queue_depth']}, "
           f"inflight {health['inflight']}, "
           f"restarts {health['worker_restarts']}, "
-          f"store {health['store']['entries']} entries")
+          f"{health['results']} cached result(s)")
     if health["breaker"]:
         for key, entry in health["breaker"].items():
             print(f"  breaker {key}: {entry['state']} "
@@ -854,8 +855,6 @@ def main(argv: list[str] | None = None) -> int:
                        metavar="WORKLOAD/TECH:KIND[:TIMES]",
                        help="inject a deterministic fault (kind: crash, "
                             "hang, flaky); repeatable")
-        p.add_argument("--fault-seed", type=int, default=0, metavar="SEED",
-                       help="seed for rate-based fault selection")
         p.add_argument("--no-telemetry", action="store_true",
                        help="skip per-cell span/metric/rusage capture "
                             "(on by default for CLI runs)")
@@ -996,11 +995,10 @@ def main(argv: list[str] | None = None) -> int:
                               "(0 = none)")
     serve_p.add_argument("--retries", type=int, default=1, metavar="N",
                          help="extra attempts for crash/hang verdicts")
-    serve_p.add_argument("--store", default="results/store", metavar="DIR",
-                         help="content-addressed result store directory")
     serve_p.add_argument("--ledger", default="results/serve-ledger.jsonl",
                          metavar="PATH",
-                         help="JSONL service ledger ('' disables)")
+                         help="JSONL service ledger, which is also the "
+                              "result cache")
     serve_p.add_argument("--breaker-threshold", type=int, default=3,
                          metavar="N",
                          help="consecutive crash/hang verdicts that open "
@@ -1015,7 +1013,6 @@ def main(argv: list[str] | None = None) -> int:
                          metavar="WORKLOAD/TECH:KIND[:TIMES]",
                          help="inject deterministic faults into workers "
                               "(drills, tests); repeatable")
-    serve_p.add_argument("--fault-seed", type=int, default=0, metavar="SEED")
 
     submit_p = sub.add_parser(
         "submit", help="submit one cell to a running repro serve")

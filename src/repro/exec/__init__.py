@@ -1,5 +1,6 @@
 """Resilient experiment execution: fault-isolated parallel runs, watchdog
-fences, retry/resume journals, and seeded fault injection.
+fences, checksummed retry/resume journals, and deterministic fault
+injection.
 
 The pieces (design rationale in ``docs/resilience.md``):
 
@@ -8,14 +9,18 @@ The pieces (design rationale in ``docs/resilience.md``):
   look like live ``SimResult`` objects;
 * :mod:`repro.exec.failures` — the ``crash`` / ``hang`` /
   ``invalid-config`` failure taxonomy (:class:`RunFailure`);
-* :mod:`repro.exec.journal`  — the JSONL retry/resume checkpoint;
-* :mod:`repro.exec.faults`   — seeded, deterministic fault injection so
-  the resilience paths are themselves testable;
+* :mod:`repro.exec.journal`  — the JSONL retry/resume checkpoint and the
+  one JSONL appender: sha256-checksummed records, read back by
+  :meth:`RunJournal.records`, and :meth:`RunJournal.results`, the cells
+  that a resume, or ``repro serve`` over its ledger, need not simulate;
+* :mod:`repro.exec.faults`   — deterministic fault injection so the
+  resilience paths are themselves testable;
 * :mod:`repro.exec.executor` — :func:`run_cells`, the executor every
   sweep and figure routes through; :class:`WorkerPool`, the warm
   worker pool that isolates cells for it and for ``repro serve``; and
-  :class:`OutcomeSink`, the retry decision, probes and journal records
-  both settle cells through;
+  :class:`OutcomeSink`, whose :meth:`~OutcomeSink.settle` is the one
+  place an attempt is settled (span, timeout, retry decision, probes
+  and journal record), inline, isolated or served;
 * :mod:`repro.exec.telemetry` — cross-process telemetry: per-cell
   phase-span / metric / trace-tail / rusage capture shipped over the
   result pipe, and the deterministic parent-side merge (see

@@ -6,8 +6,8 @@ through.  Given a list of :class:`~repro.exec.spec.RunSpec` cells and an
 :class:`ExecConfig`, it:
 
 * deduplicates cells by config hash (shared baselines run once);
-* serves already-successful cells from the resume journal when
-  ``resume=True``;
+* serves already-successful cells from the resume journal
+  (:meth:`~repro.exec.journal.RunJournal.results`) when ``resume=True``;
 * runs the rest either **inline** (in-process, the fast default for
   sequential use) or **isolated** (on a :class:`WorkerPool` of up to
   ``jobs`` warm worker processes, each attempt killed at ``timeout_s``
@@ -18,6 +18,8 @@ through.  Given a list of :class:`~repro.exec.spec.RunSpec` cells and an
 * retries crashes and hangs with bounded, jittered exponential backoff;
 * journals each completed cell so a re-invocation resumes where the
   previous one died;
+* settles every attempt, inline, isolated or served, through one
+  :meth:`OutcomeSink.settle`;
 * emits ``exec.*`` probe events on the probe bus for the observability
   layer, and with telemetry on records the spans of its own lifecycle
   (see ``docs/observability.md``).
@@ -41,6 +43,7 @@ behaviour the figure harness needs.
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing as mp
 import time
 import traceback as traceback_mod
@@ -56,12 +59,7 @@ from repro.exec.failures import (
     RETRY_KINDS,
     RunFailure,
 )
-from repro.exec.faults import (
-    FaultPlan,
-    InjectedCrash,
-    _unit_interval,
-    apply_fault,
-)
+from repro.exec.faults import FaultPlan, InjectedCrash, apply_fault
 from repro.exec.journal import RunJournal, cell_record
 from repro.exec.spec import ResultView, RunSpec
 from repro.exec.telemetry import (
@@ -94,7 +92,7 @@ class ExecConfig:
     max_backoff_s: float = 5.0        # ... capped here
     journal: str | None = None        # JSONL checkpoint path
     resume: bool = False              # serve journaled successes, re-run rest
-    faults: FaultPlan | None = None   # seeded fault injection
+    faults: FaultPlan | None = None   # injected faults (drills, tests)
     bus: ProbeBus | None = None       # probe bus; None = the default bus
     telemetry: TelemetryConfig | None = None   # per-cell capture; None = off
 
@@ -132,7 +130,9 @@ class ExecConfig:
         delay = self.backoff_s * BACKOFF_FACTOR ** (failed_attempt - 1)
         delay = min(delay, self.max_backoff_s)
         if key:
-            u = _unit_interval(0, f"{key}:a{failed_attempt}")
+            digest = hashlib.sha256(
+                f"{key}:a{failed_attempt}".encode("utf-8")).digest()
+            u = int.from_bytes(digest[:8], "big") / 2.0 ** 64   # [0, 1)
             delay *= 1.0 + BACKOFF_JITTER * (2.0 * u - 1.0)
         return min(max(delay, 0.0), self.max_backoff_s)
 
@@ -240,9 +240,8 @@ class ExecReport:
 def _inject(faults: FaultPlan | None, spec: RunSpec, attempt: int, *,
             inline: bool) -> None:
     """Apply the fault *faults* decides for this attempt, if any."""
-    if faults is not None and faults.active:
-        kind = faults.decide(spec.key, spec.workload, spec.technique_name,
-                             attempt)
+    if faults is not None:
+        kind = faults.decide(spec.workload, spec.technique_name, attempt)
         if kind is not None:
             apply_fault(kind, inline=inline, label=spec.label())
 
@@ -328,10 +327,12 @@ def _worker_main(conn, faults: FaultPlan | None,
 
 @dataclass
 class Completion:
-    """One settled attempt, as :meth:`WorkerPool.poll` reports it.
+    """One settled attempt, as :meth:`WorkerPool.poll` (or the inline
+    runner) reports it.
 
-    Exactly one of *result* and *failure* is set; the caller fills in the
-    failure's ``attempts`` and ``elapsed_s``.
+    Exactly one of *result* and *failure* is set;
+    :meth:`OutcomeSink.settle` fills in the failure's ``attempts`` and
+    ``elapsed_s``.
     """
 
     spec: RunSpec
@@ -667,7 +668,7 @@ class OutcomeSink:
     """Parent-side outcome plumbing: the retry decision, probe
     emissions, journal appends, and the spans of the exec lifecycle.
     :func:`run_cells`' runners and the ``repro serve`` scheduler settle
-    every cell through it."""
+    every attempt through :meth:`settle`."""
 
     def __init__(self, config: ExecConfig) -> None:
         self.config = config
@@ -690,12 +691,6 @@ class OutcomeSink:
         if self.profile is not None:
             self.profile.add(name, started, ended, status, **attrs)
 
-    def attempt_span(self, spec: RunSpec, attempt: int, started: float,
-                     ended: float, status: str) -> None:
-        self.span("attempt", started, ended, status, key=spec.key,
-                  workload=spec.workload, technique=spec.technique_name,
-                  attempt=attempt)
-
     def worker_span(self, event: str, **fields) -> None:
         """A :class:`WorkerPool` ``on_event`` hook: record a worker's
         ``spawn`` (its ``start`` event) or ``reap`` (``restart``/``stop``)."""
@@ -706,24 +701,46 @@ class OutcomeSink:
             self.span("reap", fields["started"], fields["ended"],
                       pid=fields["pid"], reason=fields["reason"])
 
-    def ok(self, spec: RunSpec, result: dict, attempts: int,
-           elapsed_s: float, telemetry: dict | None = None) -> CellOutcome:
-        outcome = CellOutcome(spec=spec, key=spec.key, status="ok",
-                              result=result, attempts=attempts,
-                              elapsed_s=elapsed_s, telemetry=telemetry)
-        self._record(outcome)
-        return outcome
-
-    def fail(self, spec: RunSpec, failure: RunFailure,
-             telemetry: dict | None = None) -> CellOutcome:
+    def settle(self, c: Completion, elapsed_s: float, *,
+               retry: bool = True) -> CellOutcome | float:
+        """Settle one attempt of a cell whose attempts so far took
+        *elapsed_s* seconds: record its span and any wall-clock kill,
+        then finish the cell, returning its :class:`CellOutcome`, or,
+        when a crash or hang may still be retried (and *retry* is set),
+        return the backoff before the next attempt."""
+        spec = c.spec
+        status = "ok" if c.ok else "timeout" if c.timed_out else "error"
+        self.span("attempt", c.started, c.ended, status, key=spec.key,
+                  workload=spec.workload, technique=spec.technique_name,
+                  attempt=c.attempt)
+        if c.ok:
+            outcome = CellOutcome(spec=spec, key=spec.key, status="ok",
+                                  result=c.result, attempts=c.attempt,
+                                  elapsed_s=elapsed_s,
+                                  telemetry=c.telemetry)
+            self._record(outcome)
+            return outcome
+        failure = c.failure
+        failure.attempts, failure.elapsed_s = c.attempt, elapsed_s
+        if c.timed_out:
+            self.p_timeout.emit(key=spec.key, workload=spec.workload,
+                                technique=spec.technique_name,
+                                attempt=c.attempt,
+                                timeout_s=self.config.timeout_s)
+            if self.journal is not None:
+                self.journal.append_event(
+                    "timeout", key=spec.key, attempt=c.attempt,
+                    timeout_s=self.config.timeout_s)
+        delay = self._retry_delay(spec, failure) if retry else None
+        if delay is not None:
+            return delay
         outcome = CellOutcome(spec=spec, key=spec.key, status="failed",
-                              failure=failure, attempts=failure.attempts,
-                              elapsed_s=failure.elapsed_s,
-                              telemetry=telemetry)
+                              failure=failure, attempts=c.attempt,
+                              elapsed_s=elapsed_s, telemetry=c.telemetry)
         self.p_failure.emit(key=spec.key, workload=spec.workload,
                             technique=spec.technique_name,
                             kind=failure.kind, message=failure.message,
-                            attempts=failure.attempts)
+                            attempts=c.attempt)
         self._record(outcome)
         return outcome
 
@@ -741,8 +758,8 @@ class OutcomeSink:
                          elapsed_s=outcome.elapsed_s)
         return outcome
 
-    def retry_delay(self, spec: RunSpec,
-                    failure: RunFailure) -> float | None:
+    def _retry_delay(self, spec: RunSpec,
+                     failure: RunFailure) -> float | None:
         """The backoff before the next attempt of a cell whose attempt
         ended in *failure* (announced on the bus and in the journal), or
         None when the failure is terminal."""
@@ -758,15 +775,6 @@ class OutcomeSink:
                 "retry", key=spec.key, attempt=attempt, kind=failure.kind,
                 message=failure.message, delay_s=round(delay, 3))
         return delay
-
-    def timeout(self, spec: RunSpec, attempt: int) -> None:
-        self.p_timeout.emit(key=spec.key, workload=spec.workload,
-                            technique=spec.technique_name, attempt=attempt,
-                            timeout_s=self.config.timeout_s)
-        if self.journal is not None:
-            self.journal.append_event(
-                "timeout", key=spec.key, attempt=attempt,
-                timeout_s=self.config.timeout_s)
 
     def _record(self, outcome: CellOutcome) -> None:
         spec = outcome.spec
@@ -792,39 +800,26 @@ def _run_inline(pending: list[RunSpec], config: ExecConfig,
     outcomes = []
     for spec in pending:
         attempt = 1
-        elapsed_total = 0.0
+        elapsed = 0.0
         while True:
             start = time.perf_counter()
-            mono_start = time.monotonic()
-            failure: RunFailure | None = None
-            result = None
+            c = Completion(spec=spec, attempt=attempt,
+                           started=time.monotonic(), ended=0.0)
             capture = CellCapture(config.telemetry, spec, attempt)
             try:
                 _inject(config.faults, spec, attempt, inline=True)
-                result = capture.run()
+                c.result = capture.run()
             except Exception as exc:   # noqa: BLE001 — classified below
-                failure = _classify(spec, exc)
-            elapsed_total += time.perf_counter() - start
-            mono_end = time.monotonic()
-            if failure is None:
-                sink.attempt_span(spec, attempt, mono_start, mono_end,
-                                  "ok")
-                outcomes.append(sink.ok(spec, result, attempt,
-                                        elapsed_total,
-                                        capture.snapshot("ok")))
+                c.failure = _classify(spec, exc)
+            elapsed += time.perf_counter() - start
+            c.ended = time.monotonic()
+            c.telemetry = capture.snapshot("ok" if c.ok else "failed")
+            settled = sink.settle(c, elapsed)
+            if isinstance(settled, CellOutcome):
+                outcomes.append(settled)
                 break
-            sink.attempt_span(spec, attempt, mono_start, mono_end,
-                              "error")
-            failure.attempts = attempt
-            failure.elapsed_s = elapsed_total
-            delay = sink.retry_delay(spec, failure)
-            if delay is not None:
-                time.sleep(delay)
-                attempt += 1
-                continue
-            outcomes.append(sink.fail(spec, failure,
-                                      capture.snapshot("failed")))
-            break
+            time.sleep(settled)
+            attempt += 1
     return outcomes
 
 
@@ -849,27 +844,16 @@ def _run_isolated(pending: list[RunSpec], config: ExecConfig,
                       on_event=sink.worker_span)
 
     def settle(c: Completion) -> None:
-        """Record the attempt, then finish its cell or schedule a retry."""
+        """Finish the attempt's cell, or schedule its retry."""
         cell = inflight.pop(c.spec.key)
         cell.elapsed += c.ended - c.started
-        status = "ok" if c.ok else "timeout" if c.timed_out else "error"
-        sink.attempt_span(c.spec, c.attempt, c.started, c.ended, status)
-        if c.ok:
-            outcomes.append(sink.ok(c.spec, c.result, c.attempt,
-                                    cell.elapsed, c.telemetry))
+        settled = sink.settle(c, cell.elapsed)
+        if isinstance(settled, CellOutcome):
+            outcomes.append(settled)
             return
-        if c.timed_out:
-            sink.timeout(c.spec, c.attempt)
-        failure = c.failure
-        failure.attempts = cell.attempt
-        failure.elapsed_s = cell.elapsed
-        delay = sink.retry_delay(cell.spec, failure)
-        if delay is not None:
-            cell.attempt += 1
-            cell.ready_at = time.monotonic() + delay
-            waiting.append(cell)
-            return
-        outcomes.append(sink.fail(cell.spec, failure, c.telemetry))
+        cell.attempt += 1
+        cell.ready_at = time.monotonic() + settled
+        waiting.append(cell)
 
     try:
         while waiting or inflight:
@@ -898,8 +882,8 @@ def run_cells(specs: Sequence[RunSpec],
     """Execute every unique cell in *specs*; see the module docstring."""
     config = config or ExecConfig()
     sink = OutcomeSink(config)
-    known = (sink.journal.load()
-             if sink.journal is not None and config.resume else {})
+    cached = (sink.journal.results()
+              if sink.journal is not None and config.resume else {})
 
     order: list[str] = []
     unique: dict[str, RunSpec] = {}
@@ -911,9 +895,8 @@ def run_cells(specs: Sequence[RunSpec],
             continue
         unique[key] = spec
         order.append(key)
-        record = known.get(key)
-        if (record is not None and record.get("status") == "ok"
-                and record.get("result") is not None):
+        record = cached.get(key)
+        if record is not None:
             outcomes[key] = sink.cached(spec, record)
         else:
             pending.append(spec)

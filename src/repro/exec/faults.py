@@ -1,15 +1,13 @@
-"""Seeded, deterministic fault injection for the execution layer.
+"""Deterministic fault injection for the execution layer.
 
 The timeout / retry / resume / salvage machinery in
 :mod:`repro.exec.executor` must itself be testable, so this module lets a
-:class:`FaultPlan` force failures into chosen cells:
-
-* explicit targeting — :class:`FaultSpec` matches cells by ``fnmatch``
-  globs over workload and technique name, with an optional attempt budget
-  (``times``) so a fault can hit only the first N attempts ("flaky");
-* seeded rates — ``crash_rate`` / ``hang_rate`` / ``flaky_rate`` pick
-  victim cells by hashing ``(seed, cell key)``, so the same plan always
-  kills the same cells, on any machine, in any worker process.
+:class:`FaultPlan` force failures into chosen cells: each
+:class:`FaultSpec` matches cells by ``fnmatch`` globs over workload and
+technique name, with an optional attempt budget (``times``) so a fault
+can hit only the first N attempts ("flaky").  The same plan always
+fails the same attempts of the same cells, on any machine, in any
+worker process.
 
 Fault kinds map onto the executor's failure taxonomy: ``crash`` raises,
 ``hang`` blocks forever in an isolated worker (exercising the wall-clock
@@ -20,7 +18,6 @@ the first attempt and therefore succeeds on retry.
 
 from __future__ import annotations
 
-import hashlib
 import time
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
@@ -68,32 +65,16 @@ class FaultSpec:
         return 1 if self.kind == "flaky" else -1
 
 
-def _unit_interval(seed: int, key: str) -> float:
-    """Deterministic hash of (seed, key) into [0, 1)."""
-    digest = hashlib.sha256(f"{seed}:{key}".encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") / 2.0 ** 64
-
-
 @dataclass(frozen=True)
 class FaultPlan:
     """A complete, picklable description of which cells fail and how."""
 
     specs: tuple[FaultSpec, ...] = ()
-    seed: int = 0
-    crash_rate: float = 0.0
-    hang_rate: float = 0.0
-    flaky_rate: float = 0.0
 
-    def __post_init__(self) -> None:
-        for name in ("crash_rate", "hang_rate", "flaky_rate"):
-            rate = getattr(self, name)
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(
-                    f"FaultPlan.{name} must be in [0, 1], got {rate}")
-
-    def decide(self, key: str, workload: str, technique: str,
+    def decide(self, workload: str, technique: str,
                attempt: int) -> str | None:
-        """Fault kind to inject for this (cell, attempt), or None.
+        """Fault kind to inject for this (cell, attempt), or None: that of
+        the first spec that matches the cell and still covers *attempt*.
 
         ``flaky`` resolves to ``"crash"`` on affected attempts so callers
         only ever see the executable kinds (crash / hang).
@@ -105,22 +86,7 @@ class FaultPlan:
             if times >= 0 and attempt > times:
                 continue
             return "crash" if spec.kind == "flaky" else spec.kind
-        if self.crash_rate or self.hang_rate or self.flaky_rate:
-            u = _unit_interval(self.seed, key)
-            if u < self.crash_rate:
-                return "crash"
-            u -= self.crash_rate
-            if u < self.hang_rate:
-                return "hang"
-            u -= self.hang_rate
-            if u < self.flaky_rate and attempt == 1:
-                return "crash"
         return None
-
-    @property
-    def active(self) -> bool:
-        return bool(self.specs or self.crash_rate or self.hang_rate
-                    or self.flaky_rate)
 
 
 def apply_fault(kind: str, *, inline: bool, label: str = "") -> None:

@@ -78,7 +78,9 @@ def _apply(config: TechniqueConfig, path: str, value) -> TechniqueConfig:
 
 @dataclass
 class SweepReport:
-    """Full outcome of one sweep: values plus structured failures.
+    """Full outcome of one sweep: values, structured failures, and the
+    executor's report of its cells (their telemetry, resources and
+    merged trace).
 
     ``values`` maps each axis combination to its aggregate metric, or
     ``None`` when every contributing cell failed (the explicit
@@ -88,38 +90,12 @@ class SweepReport:
     values: dict[tuple, float | None]
     axes: tuple[SweepAxis, ...]
     metric: str
+    exec_report: ExecReport
     failures: list[RunFailure] = field(default_factory=list)
-    exec_report: ExecReport | None = None
 
     @property
     def ok(self) -> bool:
         return not self.failures
-
-    # -- telemetry passthrough (ExecConfig.telemetry must be set) -----------
-
-    def telemetry_records(self) -> list[dict]:
-        """Per-cell telemetry payloads, sorted by cell key."""
-        if self.exec_report is None:
-            return []
-        return self.exec_report.telemetry_records()
-
-    def merged_metrics(self) -> dict:
-        """Deterministically merged worker metric snapshots."""
-        if self.exec_report is None:
-            return {}
-        return self.exec_report.merged_metrics()
-
-    def resources(self) -> dict:
-        """CPU/RSS totals over all cells that carried a sample."""
-        if self.exec_report is None:
-            return {}
-        return self.exec_report.resources()
-
-    def trace(self) -> dict:
-        """Merged multi-process Chrome/Perfetto trace of the sweep."""
-        if self.exec_report is None:
-            return {"traceEvents": []}
-        return self.exec_report.trace()
 
 
 def _combo_name(base: TechniqueConfig, axes: Sequence[SweepAxis],

@@ -9,7 +9,7 @@ The pieces (design rationale in ``docs/observability.md``):
   histograms that snapshot to plain dicts, with typed snapshots that
   merge deterministically across processes; a run's counters are read
   off the simulator's stats objects, its histograms fed by probes;
-* :mod:`repro.obs.runlog`   — JSONL run records, and
+* :mod:`repro.obs.runlog`   — run records for the JSONL run logs, and
   :class:`SelfProfile`, the one phase timer: each timed section is one
   span dict on ``time.monotonic``, the record's ``profile`` and the
   execution telemetry's spans alike;
@@ -48,11 +48,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.probes import Probe, ProbeBus, Subscription, default_bus
 from repro.obs.progress import ProgressReporter, advancing
-from repro.obs.runlog import (
-    RunLog,
-    SelfProfile,
-    make_record,
-)
+from repro.obs.runlog import SelfProfile, make_record
 
 __all__ = [
     "ChromeTraceBuilder",
@@ -63,7 +59,6 @@ __all__ = [
     "Probe",
     "ProbeBus",
     "ProgressReporter",
-    "RunLog",
     "RunObservation",
     "SelfProfile",
     "Subscription",
@@ -154,6 +149,9 @@ class RunObservation:
             profile=self.profile.snapshot(),
         )
         if self.jsonl_path is not None:
-            RunLog(self.jsonl_path).append(record)
+            # Lazily: repro.exec imports repro.obs.
+            from repro.exec.journal import RunJournal
+
+            RunJournal(self.jsonl_path).append(record)
         self.record = record
         return record

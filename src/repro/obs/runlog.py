@@ -1,12 +1,13 @@
-"""Structured run logs: append-only JSONL records, and the one phase
-timer.
+"""Structured run records, and the one phase timer.
 
 One record per simulator invocation (a ``harness.runner.run`` call or a
 figure regeneration): the configuration, the :class:`SimResult` export,
 the metric snapshot of the measured window, and where the *wall-clock*
-time went (build / warmup / measure).  Records are one JSON object per
-line so a session log can be tailed, grepped and loaded incrementally.
-The schema is documented in ``docs/observability.md``.
+time went (build / warmup / measure).  :func:`make_record` builds them;
+:meth:`repro.exec.RunJournal.append`, the one JSONL appender, writes
+them one JSON object per line, so a session log can be tailed, grepped
+and loaded incrementally.  The schema is documented in
+``docs/observability.md``.
 
 :class:`SelfProfile` is the timer behind that ``profile`` field and
 behind every span the execution telemetry ships: it records each timed
@@ -17,13 +18,11 @@ seconds per name on demand.
 from __future__ import annotations
 
 import itertools
-import json
 import os
 import time
 from contextlib import contextmanager
 from datetime import datetime, timezone
-from pathlib import Path
-from typing import IO, Any, Iterator
+from typing import Any, Iterator
 
 # v2: fractional-second timestamps plus per-process ``seq``/``pid`` so
 # same-second records (common in tight sweeps) stay totally ordered.
@@ -94,43 +93,3 @@ def make_record(kind: str, **fields: Any) -> dict[str, Any]:
     }
     record.update(fields)
     return record
-
-
-class RunLog:
-    """Append-only JSONL writer holding one open handle.
-
-    The first :meth:`append` opens the file (creating parent directories)
-    and every subsequent append reuses the handle with an explicit flush
-    per record — reopening per record turned hot sweeps into an
-    open/close storm.  Use as a context manager, or call :meth:`close`;
-    a dropped ``RunLog`` closes its handle on garbage collection.
-    """
-
-    def __init__(self, path: str | Path) -> None:
-        self.path = Path(path)
-        self._fh: IO[str] | None = None
-
-    def append(self, record: dict[str, Any]) -> None:
-        if self._fh is None or self._fh.closed:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = self.path.open("a", encoding="utf-8")
-        self._fh.write(json.dumps(record, sort_keys=True, default=str))
-        self._fh.write("\n")
-        self._fh.flush()
-
-    def close(self) -> None:
-        if self._fh is not None and not self._fh.closed:
-            self._fh.close()
-        self._fh = None
-
-    def __enter__(self) -> "RunLog":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close()
-        except Exception:       # interpreter teardown; nothing to do
-            pass

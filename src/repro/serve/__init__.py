@@ -5,17 +5,17 @@ exits; this package keeps a simulator fleet alive behind an HTTP
 endpoint, able to absorb crashes, hangs, floods and disk corruption
 without falling over (design rationale in ``docs/serving.md``).  Its
 workers are the executor's own warm pool
-(:class:`repro.exec.WorkerPool`), and it settles each cell through the
-executor's :class:`repro.exec.OutcomeSink`, so a served cell is retried,
-counted and journaled exactly as :func:`repro.exec.run_cells` does it.
-The pieces around them:
+(:class:`repro.exec.WorkerPool`), it settles each attempt through the
+executor's :meth:`repro.exec.OutcomeSink.settle`, so a served cell is
+retried, counted and journaled exactly as :func:`repro.exec.run_cells`
+does it, and its ledger, a checksummed :class:`repro.exec.RunJournal`,
+is its result cache (:meth:`~repro.exec.RunJournal.results`).  The
+pieces around them:
 
 * :mod:`repro.serve.queue`     — bounded, coalescing job queue
   (:class:`JobQueue`, :class:`QueueFull`);
 * :mod:`repro.serve.breaker`   — per-config-hash circuit breaker
   (:class:`CircuitBreaker`);
-* :mod:`repro.serve.store`     — crash-safe content-addressed result
-  store (:class:`ResultStore`);
 * :mod:`repro.serve.server`    — the HTTP front end and scheduler
   (:class:`ReproServer`, :class:`ServeConfig`);
 * :mod:`repro.serve.events`    — live event fan-out and bounded metric
@@ -46,7 +46,6 @@ from repro.serve.server import (
     ServeConfig,
     install_serve_metrics,
 )
-from repro.serve.store import ResultStore, record_digest
 
 __all__ = [
     "CLOSED",
@@ -66,11 +65,9 @@ __all__ = [
     "RUNNING",
     "Reject",
     "ReproServer",
-    "ResultStore",
     "ServeClient",
     "ServeClientError",
     "ServeConfig",
     "TERMINAL_STATES",
     "install_serve_metrics",
-    "record_digest",
 ]

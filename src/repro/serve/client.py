@@ -135,7 +135,8 @@ class ServeClient:
                    f"{getattr(exc, 'reason', exc)}") from None
 
     def result_bytes(self, key: str) -> bytes:
-        """Raw store-entry bytes for *key* (byte-identity checks)."""
+        """Raw ``/results/<key>`` bytes: the cell's ledger record
+        (byte-identity checks)."""
         _status, raw = self._request("GET", f"/results/{key}")
         return raw
 

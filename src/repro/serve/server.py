@@ -5,20 +5,28 @@ pieces together around one **scheduler thread**:
 
 * HTTP threads (``ThreadingHTTPServer``) only touch the internally
   locked admission objects — :class:`~repro.serve.queue.JobQueue`,
-  :class:`~repro.serve.breaker.CircuitBreaker`,
-  :class:`~repro.serve.store.ResultStore`;
+  :class:`~repro.serve.breaker.CircuitBreaker` — and read the result
+  cache;
 * exactly one scheduler thread owns the
   :class:`~repro.exec.executor.WorkerPool` pipes and the
   :class:`~repro.exec.executor.OutcomeSink`, dispatching queued cells,
-  harvesting verdicts, and settling them through the sink exactly as
+  harvesting verdicts, and settling each attempt through
+  :meth:`~repro.exec.executor.OutcomeSink.settle` exactly as
   :func:`~repro.exec.executor.run_cells` does (retry decision, ``exec.*``
-  probes, ledger records), then promoting successes into the
-  content-addressed store and feeding the breaker.
+  probes, ledger records), then caching successes and feeding the
+  breaker.
+
+The ledger (a :class:`~repro.exec.journal.RunJournal`) is the one
+durable record of a settled cell, and so the result cache: the server
+loads :meth:`~repro.exec.journal.RunJournal.results` from it once, and
+the scheduler adds each cell that settles ``ok``, as the ledger's append
+stamped it.  A record whose checksum fails is skipped on that load, so
+its cell is simply simulated again.
 
 Admission pipeline for ``POST /jobs`` (first refusal wins)::
 
     drain guard (503) -> validation (400)
-      -> store hit (200, cached) -> breaker (200, quarantined verdict)
+      -> cache hit (200, cached) -> breaker (200, quarantined verdict)
       -> queue (202, or 429 + Retry-After when full)
 
 Graceful drain (SIGTERM/SIGINT or ``POST /admin/drain``): stop
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import threading
 import time
 from dataclasses import dataclass
@@ -52,10 +61,17 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlparse
 
-from repro.exec.executor import Completion, ExecConfig, OutcomeSink, WorkerPool
+from repro.exec.executor import (
+    CellOutcome,
+    Completion,
+    ExecConfig,
+    OutcomeSink,
+    WorkerPool,
+)
 from repro.exec.failures import HANG, RunFailure
 from repro.exec.faults import FaultPlan
 from repro.exec.spec import RunSpec
+from repro.exec.telemetry import TelemetryConfig
 from repro.obs.metrics import (
     MetricsRegistry,
     install_exec_metrics,
@@ -72,7 +88,6 @@ from repro.serve.queue import (
     JobQueue,
     QueueFull,
 )
-from repro.serve.store import ResultStore
 
 SERVE_VERSION = 1
 
@@ -82,6 +97,7 @@ SAMPLE_INTERVAL_S = 2.0
 
 _SCALES = ("tiny", "bench", "default")
 _SUBMIT_FIELDS = {"workload", "technique", "scale", "warmup", "measure"}
+_KEY = re.compile(r"[0-9a-f]{16}")      # RunSpec.key
 
 
 class Reject(Exception):
@@ -106,14 +122,16 @@ class ServeConfig:
     retries: int = 1                  # extra attempts for crash/hang
     backoff_s: float = 0.25           # first retry delay (jittered)
     max_backoff_s: float = 5.0
-    store_dir: str = "results/store"
-    ledger: str | None = "results/serve-ledger.jsonl"
+    ledger: str = "results/serve-ledger.jsonl"   # also the result cache
     breaker_threshold: int = 3        # consecutive crash/hang -> open
     breaker_cooldown_s: float = 300.0
     drain_timeout_s: float = 30.0
     faults: FaultPlan | None = None   # injected faults (tests, demos)
 
     def __post_init__(self) -> None:
+        if not self.ledger:
+            raise ValueError("ServeConfig.ledger must be a path: the "
+                             "ledger is the server's result cache")
         if self.workers < 1:
             raise ValueError(
                 f"ServeConfig.workers must be >= 1, got {self.workers}")
@@ -172,9 +190,6 @@ def install_serve_metrics(bus: ProbeBus,
     def on_worker(_name: str, ev: dict) -> None:
         counter(f"serve.worker_{ev['action']}").inc()
 
-    def on_store(_name: str, ev: dict) -> None:
-        counter(f"serve.store_{ev['action']}").inc()
-
     progress_frames = counter("serve.progress_frames")
 
     def on_progress(_name: str, _ev: dict) -> None:
@@ -188,7 +203,6 @@ def install_serve_metrics(bus: ProbeBus,
         "serve.job": on_job,
         "serve.breaker": on_breaker,
         "serve.worker": on_worker,
-        "serve.store": on_store,
         "serve.progress": on_progress,
     }
     for name, handler in wiring.items():
@@ -197,7 +211,8 @@ def install_serve_metrics(bus: ProbeBus,
 
 
 class ReproServer:
-    """One serving instance: admission front end, scheduler, store."""
+    """One serving instance: admission front end, scheduler, result
+    cache."""
 
     def __init__(self, config: ServeConfig | None = None) -> None:
         self.config = config or ServeConfig()
@@ -217,7 +232,6 @@ class ReproServer:
         self._p_job = self.bus.probe("serve.job")
         self._p_breaker = self.bus.probe("serve.breaker")
         self._p_worker = self.bus.probe("serve.worker")
-        self._p_store = self.bus.probe("serve.store")
         self._p_progress = self.bus.probe("serve.progress")
 
         self.sink = OutcomeSink(ExecConfig(
@@ -225,13 +239,15 @@ class ReproServer:
             backoff_s=config.backoff_s, max_backoff_s=config.max_backoff_s,
             journal=config.ledger, bus=self.bus))
         self.ledger = self.sink.journal
-        self.store = ResultStore(config.store_dir,
-                                 on_corrupt=self._on_corrupt)
+        # key -> ledger record of each cached cell; only the scheduler
+        # thread writes it.
+        self.results = self.ledger.results()
         self.queue = JobQueue(limit=config.queue_limit)
         self.breaker = CircuitBreaker(threshold=config.breaker_threshold,
                                       cooldown_s=config.breaker_cooldown_s)
         self.pool = WorkerPool(config.workers, timeout_s=config.timeout_s,
-                               faults=config.faults, progress=True,
+                               faults=config.faults,
+                               telemetry=TelemetryConfig(), progress=True,
                                on_event=self._on_worker_event)
         self.events = EventBroker()
         self.history = MetricsRing()
@@ -240,8 +256,6 @@ class ReproServer:
         self._attempts: dict[str, int] = {}     # key -> attempts so far
         self._elapsed: dict[str, float] = {}    # key -> summed attempt time
         self._delayed: list[tuple[float, str]] = []   # (ready_at, key)
-        self._corrupt_seen = 0
-        self._rebuild_lock = threading.Lock()
         self._draining = False
         self._drain_reason = ""
         self._drain_deadline = math.inf
@@ -256,9 +270,6 @@ class ReproServer:
     def _emit(self, probe: Any, **fields: Any) -> None:
         with self._obs_lock:
             probe.emit(**fields)
-
-    def _on_corrupt(self, key: str, reason: str) -> None:
-        self._emit(self._p_store, action="corrupt", key=key, reason=reason)
 
     def _on_worker_event(self, event: str, **fields: Any) -> None:
         if event == "progress":
@@ -285,11 +296,7 @@ class ReproServer:
     # -- lifecycle ----------------------------------------------------
 
     def start(self) -> None:
-        """Warm the store, start workers, scheduler and HTTP listener."""
-        if self.ledger is not None and self.ledger.exists():
-            rebuilt = self.store.rebuild(self.ledger)
-            if rebuilt:
-                self._emit(self._p_store, action="rebuild", entries=rebuilt)
+        """Start the scheduler and the HTTP listener."""
         scheduler = threading.Thread(target=self._scheduler_loop,
                                      name="repro-serve-scheduler",
                                      daemon=True)
@@ -331,8 +338,7 @@ class ReproServer:
             raise Reject(503, "server is draining; not accepting jobs")
         spec = self._validate(payload)
         key = spec.key
-        record = self.lookup(key)
-        if record is not None:
+        if key in self.results:
             job = self.queue.admit_terminal(spec, OK, cached=True)
             self._emit(self._p_cache, key=key, hit=True)
             self._job_settled(job)
@@ -400,32 +406,6 @@ class ReproServer:
                               f"{', '.join(known)}")
         return spec
 
-    def lookup(self, key: str) -> dict[str, Any] | None:
-        """Store read with the detect-and-rebuild loop: a miss caused by
-        quarantined corruption triggers a ledger replay, then retries."""
-        record = self.store.get(key)
-        if record is not None:
-            return record
-        with self._rebuild_lock:
-            if self.store.corrupt_detected == self._corrupt_seen:
-                return None
-            self._corrupt_seen = self.store.corrupt_detected
-            if self.ledger is None or not self.ledger.exists():
-                return None
-            rebuilt = self.store.rebuild(self.ledger)
-            self._emit(self._p_store, action="rebuild", entries=rebuilt)
-        return self.store.get(key)
-
-    def result_bytes(self, key: str) -> bytes | None:
-        """Raw validated store-entry bytes (byte-identical across
-        cache hits — the file is written once and never rewritten)."""
-        if self.lookup(key) is None:
-            return None
-        try:
-            return self.store.entry_path(key).read_bytes()
-        except OSError:
-            return None
-
     # -- scheduler thread ---------------------------------------------
 
     def _scheduler_loop(self) -> None:
@@ -471,22 +451,17 @@ class ReproServer:
         key = c.spec.key
         self._attempts.pop(key, None)
         elapsed = self._elapsed.pop(key, 0.0) + (c.ended - c.started)
-        if c.ok:
-            self._settle_ok(c, elapsed)
-            return
-        if c.timed_out:
-            self.sink.timeout(c.spec, c.attempt)
-        failure = c.failure
-        failure.attempts, failure.elapsed_s = c.attempt, elapsed
-        delay = (None if self._draining
-                 else self.sink.retry_delay(c.spec, failure))
-        if delay is None:
-            self._settle_failed(c.spec, failure)
+        settled = self.sink.settle(c, elapsed, retry=not self._draining)
+        if isinstance(settled, CellOutcome):
+            if settled.ok:
+                self._settle_ok(settled)
+            else:
+                self._settle_failed(settled)
             return
         self._attempts[key], self._elapsed[key] = c.attempt, elapsed
-        self._delayed.append((time.monotonic() + delay, key))
+        self._delayed.append((time.monotonic() + settled, key))
         self.events.publish("retry", key=key, attempt=c.attempt,
-                            kind=failure.kind, delay_s=round(delay, 4))
+                            kind=c.failure.kind, delay_s=round(settled, 4))
 
     def _push_sample(self) -> None:
         """One point-in-time gauge sample into the history ring (and the
@@ -506,32 +481,26 @@ class ReproServer:
             "events_published": self.events.published,
         }
         self.history.push(sample)
-        if self.ledger is not None:
-            self.ledger.append_event("serve.sample", **sample)
+        self.ledger.append_event("serve.sample", **sample)
 
-    def _settle_ok(self, c: Completion, elapsed: float) -> None:
-        key = c.spec.key
-        outcome = self.sink.ok(c.spec, c.result, c.attempt, elapsed,
-                               c.telemetry)
-        # The ledger's record, stamped by its append: a rebuild from the
-        # ledger writes back the very same entry.
-        self.store.put(key, outcome.record)
+    def _settle_ok(self, outcome: CellOutcome) -> None:
+        key = outcome.key
+        # The ledger's record, as its append stamped it: what a restart
+        # on this ledger serves too.
+        self.results[key] = outcome.record
         self.breaker.record_success(key)
-        for job in self.queue.settle(key, OK, attempts=c.attempt):
+        for job in self.queue.settle(key, OK, attempts=outcome.attempts):
             self._job_settled(job)
 
-    def _settle_failed(self, spec: RunSpec, failure: RunFailure) -> None:
-        key = spec.key
+    def _settle_failed(self, outcome: CellOutcome) -> None:
+        key, failure = outcome.key, outcome.failure
         state = self.breaker.record_failure(key, failure.kind,
                                             failure.message)
         if state == OPEN:
             self._emit(self._p_breaker, action="open", key=key,
                        consecutive=len(self.breaker.history(key)))
             self.events.publish("breaker", action="open", key=key)
-            if self.ledger is not None:
-                self.ledger.append_event("serve.breaker", key=key,
-                                         state=state)
-        self.sink.fail(spec, failure)
+            self.ledger.append_event("serve.breaker", key=key, state=state)
         for job in self.queue.settle(key, FAILED, attempts=failure.attempts,
                                      failure=failure):
             self._job_settled(job)
@@ -544,8 +513,7 @@ class ReproServer:
         self.events.publish("job", job_id=job.job_id, key=job.key,
                             state=job.state, cached=job.cached,
                             coalesced=job.coalesced)
-        if self.ledger is not None:
-            self.ledger.append_event("serve.job", **job.to_dict())
+        self.ledger.append_event("serve.job", **job.to_dict())
 
     def _shutdown(self) -> None:
         # Finish (or expire) whatever is still on a worker, then settle
@@ -568,10 +536,8 @@ class ReproServer:
                                          attempts=max(attempts, 1),
                                          failure=failure):
                 self._job_settled(job)
-        if self.ledger is not None:
-            self.ledger.append_event("serve.drain",
-                                     reason=self._drain_reason,
-                                     restarts=self.pool.restarts)
+        self.ledger.append_event("serve.drain", reason=self._drain_reason,
+                                 restarts=self.pool.restarts)
         if self._httpd is not None:
             self._httpd.shutdown()
             self._httpd.server_close()
@@ -589,9 +555,7 @@ class ReproServer:
             "workers": self.pool.snapshot(),
             "worker_restarts": self.pool.restarts,
             "breaker": self.breaker.snapshot(),
-            "store": {"entries": len(self.store.keys()),
-                      "writes": self.store.writes,
-                      "corrupt_detected": self.store.corrupt_detected},
+            "results": len(self.results),
             "events_published": self.events.published,
             "event_subscribers": self.events.subscriber_count(),
         }
@@ -809,23 +773,25 @@ class _Handler(BaseHTTPRequestHandler):
                 raise Reject(400, "'version' must be an integer") from None
             job = rs.queue.wait_for_change(job_id, version, wait_s) or job
         payload: dict[str, Any] = {"job": job.to_dict()}
-        if job.state == OK:
-            record = rs.lookup(job.key)
-            if record is not None:
-                payload["result"] = record.get("result")
+        record = rs.results.get(job.key) if job.state == OK else None
+        if record is not None:
+            payload["result"] = record["result"]
         self._json(200, payload)
         return 200
 
     def _get_result(self, key: str) -> int:
-        try:
-            body = self.rs.result_bytes(key)
-        except ValueError as exc:       # non-hex key
-            self._error(400, str(exc))
+        """The cell's cached ledger record, as JSON with sorted keys: the
+        same bytes on every hit, and after a restart on the same
+        ledger."""
+        if not _KEY.fullmatch(key):
+            self._error(400, f"result key must be a 16-hex-digit config "
+                             f"hash, got {key!r}")
             return 400
-        if body is None:
-            self._error(404, f"no stored result for key {key!r}")
+        record = self.rs.results.get(key)
+        if record is None:
+            self._error(404, f"no cached result for key {key!r}")
             return 404
-        self._send(200, body, "application/json")
+        self._json(200, record)
         return 200
 
     def _post_job(self) -> int:

@@ -86,7 +86,7 @@ def render_server_view(health: dict[str, Any],
         f"queue {health.get('queue_depth', 0)}  "
         f"inflight {health.get('inflight', 0)}  "
         f"restarts {health.get('worker_restarts', 0)}  "
-        f"store {health.get('store', {}).get('entries', 0)} entries  "
+        f"cached {health.get('results', 0)}  "
         f"events {health.get('events_published', 0)}",
         "",
         "workers:",

@@ -287,20 +287,6 @@ def _export(report, spec):
 
 
 class TestFaultPlan:
-    def test_decide_is_deterministic(self):
-        plan = FaultPlan(seed=7, crash_rate=0.5)
-        decisions = [plan.decide(f"k{i}", "w", "t", 1) for i in range(32)]
-        assert decisions == [plan.decide(f"k{i}", "w", "t", 1)
-                             for i in range(32)]
-        assert "crash" in decisions and None in decisions
-
-    def test_seed_changes_victims(self):
-        a = FaultPlan(seed=1, crash_rate=0.5)
-        b = FaultPlan(seed=2, crash_rate=0.5)
-        keys = [f"k{i}" for i in range(64)]
-        assert ([a.decide(k, "w", "t", 1) for k in keys]
-                != [b.decide(k, "w", "t", 1) for k in keys])
-
     def test_glob_matching(self):
         spec = FaultSpec(workload="BC_*", technique="svr*")
         assert spec.matches("BC_UR", "svr16")
@@ -309,14 +295,14 @@ class TestFaultPlan:
 
     def test_times_budget(self):
         plan = FaultPlan(specs=(FaultSpec(kind="crash", times=2),))
-        assert plan.decide("k", "w", "t", 1) == "crash"
-        assert plan.decide("k", "w", "t", 2) == "crash"
-        assert plan.decide("k", "w", "t", 3) is None
+        assert plan.decide("w", "t", 1) == "crash"
+        assert plan.decide("w", "t", 2) == "crash"
+        assert plan.decide("w", "t", 3) is None
 
     def test_flaky_only_first_attempt(self):
         plan = FaultPlan(specs=(FaultSpec(kind="flaky"),))
-        assert plan.decide("k", "w", "t", 1) == "crash"
-        assert plan.decide("k", "w", "t", 2) is None
+        assert plan.decide("w", "t", 1) == "crash"
+        assert plan.decide("w", "t", 2) is None
 
     def test_parse_fault(self):
         spec = parse_fault("Camel/svr16:hang:2")
@@ -330,10 +316,6 @@ class TestFaultPlan:
             parse_fault("Camel/*:explode")
         with pytest.raises(ValueError, match="TIMES"):
             parse_fault("Camel/*:crash:soon")
-
-    def test_bad_rates_rejected(self):
-        with pytest.raises(ValueError, match="crash_rate"):
-            FaultPlan(crash_rate=1.5)
 
 
 class TestJournal:

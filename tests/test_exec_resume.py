@@ -6,6 +6,11 @@ remaining cells, report both failures structurally, and a second
 byte-identical to a run that never failed.
 """
 
+import json
+import re
+
+import pytest
+
 from repro.exec import (
     CRASH,
     HANG,
@@ -117,3 +122,30 @@ class TestRunCellsResume:
         canon = lambda d: json.dumps(d, sort_keys=True, default=str)  # noqa: E731
         assert (canon(second.result_for(specs[0]).to_dict())
                 == canon(fresh.result_for(specs[0]).to_dict()))
+
+    def test_flipped_digit_in_a_journaled_result_reruns_that_cell(
+            self, tmp_path):
+        """A result edited on disk fails its record's checksum: resume
+        warns, re-runs exactly that cell, and serves every other one."""
+        journal = tmp_path / "cells.jsonl"
+        specs = [RunSpec.make(w, "svr16", scale="tiny") for w in WORKLOADS]
+        first = run_cells(specs, ExecConfig(journal=str(journal),
+                                            bus=ProbeBus()))
+        victim = specs[0]
+        lines = journal.read_text(encoding="utf-8").splitlines()
+        for index, line in enumerate(lines):
+            if json.loads(line).get("key") == victim.key:
+                match = re.search(r'"ipc": -?\d+\.\d*(\d)', line)
+                digit = str((int(match.group(1)) + 1) % 10)
+                lines[index] = (line[:match.start(1)] + digit
+                                + line[match.end(1):])
+        journal.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+        with pytest.warns(RuntimeWarning, match="sha256 does not match"):
+            resumed = run_cells(specs, ExecConfig(
+                journal=str(journal), resume=True, bus=ProbeBus()))
+        assert resumed.attempted_count == 1
+        assert not resumed.outcome_for(victim).cached
+        assert resumed.cached_count == len(specs) - 1
+        assert (resumed.result_for(victim).ipc
+                == first.result_for(victim).ipc)

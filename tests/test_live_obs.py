@@ -522,7 +522,7 @@ class TestTopRendering:
                  "target_instructions": 1000, "ipc": 0.75, "wall_s": 2.0}
         health = {"status": "ok", "uptime_s": 12.0, "queue_depth": 1,
                   "inflight": 2, "worker_restarts": 0,
-                  "store": {"entries": 3}, "events_published": 9,
+                  "results": 3, "events_published": 9,
                   "workers": [{"worker": 0, "pid": 123, "state": "busy",
                                "jobs_done": 2, "running": "PR_KR/svr16",
                                "progress": frame}]}
@@ -533,6 +533,7 @@ class TestTopRendering:
                    {"busy_workers": 2, "queue_depth": 1}]
         text = render_server_view(health, jobs, history, "http://x")
         assert "PR_KR/svr16" in text and "50%" in text
+        assert "cached 3" in text
         assert "history (2 samples)" in text
 
     def test_journal_mode(self, tmp_path):

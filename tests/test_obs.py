@@ -12,7 +12,6 @@ from repro.obs import (
     Histogram,
     MetricsRegistry,
     ProbeBus,
-    RunLog,
     RunObservation,
     SelfProfile,
     install_exec_metrics,
@@ -348,10 +347,10 @@ class TestOneCountingPath:
 
 class TestRunLog:
     def test_round_trip(self, tmp_path):
-        log = RunLog(tmp_path / "nested" / "session.jsonl")
+        log = RunJournal(tmp_path / "nested" / "session.jsonl")
         log.append(make_record("run", workload="Camel", cpi=1.9))
         log.append(make_record("figure", name="fig1"))
-        records = RunJournal(log.path).records()
+        records = log.records()
         assert len(records) == 2
         assert records[0]["schema"] == 2
         assert records[0]["kind"] == "run"
@@ -385,32 +384,11 @@ class TestRunLog:
         assert b["seq"] == a["seq"] + 1
         assert a["pid"] == os.getpid()
 
-    def test_append_holds_one_open_handle(self, tmp_path):
-        log = RunLog(tmp_path / "session.jsonl")
-        log.append(make_record("run", n=1))
-        handle = log._fh
-        assert handle is not None and not handle.closed
-        log.append(make_record("run", n=2))
-        assert log._fh is handle          # reused, not reopened
-        log.close()
-        assert handle.closed
-        # Appending after close transparently reopens.
-        log.append(make_record("run", n=3))
-        log.close()
-        assert len(RunJournal(log.path).records()) == 3
-
-    def test_context_manager_closes(self, tmp_path):
-        with RunLog(tmp_path / "session.jsonl") as log:
-            log.append(make_record("run"))
-            handle = log._fh
-        assert handle.closed
-
     def test_read_skips_torn_final_line(self, tmp_path):
         path = tmp_path / "session.jsonl"
-        log = RunLog(path)
+        log = RunJournal(path)
         log.append(make_record("run", n=1))
         log.append(make_record("run", n=2))
-        log.close()
         with path.open("a", encoding="utf-8") as fh:
             fh.write('{"schema": 2, "kind": "ru')   # killed mid-append
         records = RunJournal(path).records()

@@ -1,11 +1,11 @@
 """Unit tests for the serving building blocks (repro.serve.*) and the
-exec-layer hardening that rode along: journal mid-file corruption
-tolerance and deterministic seeded backoff jitter."""
+exec-layer hardening that rode along: journal corruption tolerance
+(corrupt lines and records that fail their checksum) and deterministic
+backoff jitter."""
 
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
@@ -21,123 +21,12 @@ from repro.serve import (
     CircuitBreaker,
     JobQueue,
     QueueFull,
-    ResultStore,
-    record_digest,
+    ServeConfig,
 )
 
 
 def spec_for(workload: str = "PR_KR", tech: str = "svr16") -> RunSpec:
     return RunSpec.make(workload, tech, scale="tiny")
-
-
-# ---------------------------------------------------------------------------
-# Content-addressed result store.
-# ---------------------------------------------------------------------------
-
-class TestResultStore:
-    def record(self, key: str = "ab12") -> dict:
-        return {"event": "cell", "key": key, "status": "ok",
-                "result": {"ipc": 1.5}}
-
-    def test_put_get_roundtrip(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        record = self.record()
-        store.put("ab12", record)
-        assert store.get("ab12") == record
-        assert "ab12" in store
-        assert store.keys() == ["ab12"]
-
-    def test_get_miss_is_none(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        assert store.get("dead") is None
-        assert store.corrupt_detected == 0
-
-    def test_key_validation(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        for bad in ("", "../evil", "UPPER", "a b"):
-            with pytest.raises(ValueError, match="hex config hash"):
-                store.get(bad)
-
-    def test_entry_embeds_checksum(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        record = self.record()
-        path = store.put("ab12", record)
-        entry = json.loads(path.read_text())
-        assert entry["v"] == 1
-        assert entry["key"] == "ab12"
-        assert entry["sha256"] == record_digest(record)
-
-    @pytest.mark.parametrize("corruption", [
-        b"{ not json",                                   # torn write
-        b'{"v": 1, "record": "not-a-cell"}',             # wrong shape ok
-        b'"just a string"',                              # not a dict
-    ])
-    def test_corrupt_entry_quarantined(self, tmp_path, corruption):
-        seen = []
-        store = ResultStore(tmp_path / "store",
-                            on_corrupt=lambda k, r: seen.append((k, r)))
-        store.put("ab12", self.record())
-        store.entry_path("ab12").write_bytes(corruption)
-        assert store.get("ab12") is None
-        assert store.corrupt_detected == 1
-        assert seen and seen[0][0] == "ab12"
-        # Quarantined, not deleted: the bad bytes survive for forensics.
-        assert not store.entry_path("ab12").exists()
-        assert list(tmp_path.glob("store/ab12.corrupt.*"))
-
-    def test_flipped_bit_fails_checksum(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.put("ab12", self.record())
-        path = store.entry_path("ab12")
-        blob = path.read_text().replace('"ipc": 1.5', '"ipc": 9.5')
-        path.write_text(blob)
-        assert store.get("ab12") is None
-        assert store.corrupt_detected == 1
-
-    def test_key_mismatch_quarantined(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.put("ab12", self.record())
-        os.replace(store.entry_path("ab12"), store.entry_path("cd34"))
-        assert store.get("cd34") is None
-        assert store.corrupt_detected == 1
-
-    def test_verify_splits_ok_and_bad(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        store.put("aa01", self.record("aa01"))
-        store.put("bb02", self.record("bb02"))
-        store.entry_path("bb02").write_text("garbage")
-        ok, bad = store.verify()
-        assert ok == ["aa01"]
-        assert bad == ["bb02"]
-
-    def test_rebuild_from_journal(self, tmp_path):
-        journal = RunJournal(tmp_path / "ledger.jsonl")
-        journal.append_cell(key="aa01", workload="w", technique="t",
-                            scale="tiny", status="ok", attempts=1,
-                            elapsed_s=0.1, result={"ipc": 1.0})
-        journal.append_cell(key="bb02", workload="w", technique="t",
-                            scale="tiny", status="failed", attempts=2,
-                            elapsed_s=0.2, failure={"kind": "crash"})
-        store = ResultStore(tmp_path / "store")
-        assert store.rebuild(journal) == 1      # failures are not cached
-        assert store.get("aa01") is not None
-        assert store.get("bb02") is None
-        # Healthy entries keep their bytes on a second rebuild.
-        before = store.entry_path("aa01").read_bytes()
-        assert store.rebuild(journal) == 0
-        assert store.entry_path("aa01").read_bytes() == before
-
-    def test_rebuild_repopulates_quarantined_entry(self, tmp_path):
-        journal = RunJournal(tmp_path / "ledger.jsonl")
-        journal.append_cell(key="aa01", workload="w", technique="t",
-                            scale="tiny", status="ok", attempts=1,
-                            elapsed_s=0.1, result={"ipc": 1.0})
-        store = ResultStore(tmp_path / "store")
-        store.rebuild(journal)
-        store.entry_path("aa01").write_text("{ torn")
-        assert store.get("aa01") is None        # quarantines
-        assert store.rebuild(journal) == 1      # repopulates
-        assert store.get("aa01")["result"] == {"ipc": 1.0}
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +182,8 @@ class TestJobQueue:
 
 
 # ---------------------------------------------------------------------------
-# Journal hardening: corrupt line mid-file is skipped and counted.
+# Journal hardening: a corrupt line mid-file, or a record that fails its
+# checksum, is skipped and counted.
 # ---------------------------------------------------------------------------
 
 class TestJournalCorruption:
@@ -335,6 +225,45 @@ class TestJournalCorruption:
         assert journal.skipped_records == 2
         snap = registry.snapshot()
         assert snap["exec.journal_skipped_records"] == 2
+
+    def test_append_stamps_a_checksum_that_reads_back(self, tmp_path):
+        journal = RunJournal(tmp_path / "j.jsonl")
+        record = {"event": "cell", "key": "aa", "status": "ok",
+                  "result": {"ipc": 1.25, "stack": (1, 2)}}
+        journal.append(record)
+        assert len(record["sha256"]) == 64
+        (read,) = journal.records()
+        assert read == json.loads(json.dumps(record))
+        assert journal.skipped_records == 0
+
+    def test_record_failing_its_checksum_is_skipped(self, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = RunJournal(path)
+        for key in ("aa", "bb"):
+            journal.append({"event": "cell", "key": key, "status": "ok",
+                            "result": {"ipc": 1.25}})
+        lines = path.read_text().splitlines()
+        lines[-1] = lines[-1].replace('"ipc": 1.25', '"ipc": 1.26')
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.warns(RuntimeWarning,
+                          match=r"line 2 \(its sha256 does not match"):
+            records = journal.results()
+        assert sorted(records) == ["aa"]
+        assert journal.skipped_records == 1
+
+    def test_results_keeps_latest_ok_records_with_a_result(self, tmp_path):
+        journal = RunJournal(tmp_path / "j.jsonl")
+        common = dict(workload="w", technique="t", scale="tiny",
+                      attempts=1, elapsed_s=0.1)
+        journal.append_cell(key="aa", status="ok", result={"ipc": 1.0},
+                            **common)
+        journal.append_cell(key="bb", status="ok", result={"ipc": 1.0},
+                            **common)
+        journal.append_cell(key="bb", status="failed",
+                            failure={"kind": "crash"}, **common)
+        journal.append_cell(key="cc", status="ok", **common)
+        journal.append_event("retry", key="dd", attempt=1)
+        assert sorted(journal.results()) == ["aa"]
 
 
 # ---------------------------------------------------------------------------
@@ -380,7 +309,6 @@ class TestServeFlags:
                                           value):
         # Fails before start(): no listener, thread or worker is started.
         code = main(["serve", "--port", "0",
-                     "--store", str(tmp_path / "store"),
                      "--ledger", str(tmp_path / "ledger.jsonl"),
                      flag, value])
         assert code == 2
@@ -395,3 +323,17 @@ class TestServeFlags:
         usage = capsys.readouterr().out
         assert "--progress-interval" not in usage
         assert "--sample-interval" not in usage
+
+    def test_ledger_is_required(self):
+        # The ledger is the result cache, so it cannot be switched off.
+        with pytest.raises(ValueError, match="ledger"):
+            ServeConfig(ledger="")
+
+    @pytest.mark.parametrize("command", ["serve", "figure", "sweep"])
+    def test_store_and_fault_seed_flags_are_gone(self, capsys, command):
+        # The ledger is the result cache; faults are explicit specs.
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = capsys.readouterr().out
+        assert "--store" not in usage
+        assert "--fault-seed" not in usage

@@ -7,18 +7,19 @@ never exits, and every admitted job reaches a terminal verdict."""
 from __future__ import annotations
 
 import json
+import re
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.exec import RunJournal
 from repro.exec.faults import FaultPlan, parse_fault
 from repro.serve import ReproServer, ServeClient, ServeClientError, ServeConfig
 
 
 def start_server(tmp_path, **overrides) -> ReproServer:
     settings = dict(host="127.0.0.1", port=0, workers=2,
-                    store_dir=str(tmp_path / "store"),
                     ledger=str(tmp_path / "ledger.jsonl"),
                     drain_timeout_s=5.0)
     settings.update(overrides)
@@ -49,8 +50,23 @@ def raw_post(server: ReproServer, body: bytes) -> int:
         return err.code
 
 
+def flip_result_digit(ledger, key: str) -> None:
+    """Edit one digit of the ``ipc`` in *key*'s ``ok`` cell record on
+    disk, as a disk fault or a hand edit would."""
+    lines = ledger.read_text(encoding="utf-8").splitlines()
+    for index, line in enumerate(lines):
+        record = json.loads(line)
+        if (record.get("event") == "cell" and record.get("key") == key
+                and record.get("status") == "ok"):
+            match = re.search(r'"ipc": -?\d+\.\d*(\d)', line)
+            digit = str((int(match.group(1)) + 1) % 10)
+            lines[index] = (line[:match.start(1)] + digit
+                            + line[match.end(1):])
+    ledger.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 # ---------------------------------------------------------------------------
-# Healthy service: submit, cache, validate, corrupt, drain.
+# Healthy service: submit, cache, validate, drain.
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -78,9 +94,22 @@ class TestService:
         first = client.result_bytes(job["key"])
         second = client.result_bytes(job["key"])
         assert first == second and len(first) > 0
-        entry = json.loads(first)
-        assert entry["key"] == job["key"]
-        assert entry["record"]["status"] == "ok"
+        # The bytes are the cell's ledger record.
+        record = json.loads(first)
+        assert record["key"] == job["key"]
+        assert record["status"] == "ok"
+        ledger = RunJournal(serving.config.ledger)
+        assert record == ledger.results()[job["key"]]
+
+    def test_served_cell_record_carries_telemetry(self, serving):
+        client = client_for(serving)
+        job = client.submit("PR_KR", "svr16", scale="tiny")
+        assert job["cached"]
+        served = json.loads(client.result_bytes(job["key"]))
+        assert served["telemetry"]["metrics"]["core.instructions"]
+        (cell,) = [r for r in RunJournal(serving.config.ledger).records()
+                   if r.get("event") == "cell" and r["key"] == job["key"]]
+        assert cell["telemetry"]["metrics"] == served["telemetry"]["metrics"]
 
     def test_introspection_endpoints(self, serving):
         client = client_for(serving)
@@ -118,35 +147,15 @@ class TestService:
         with pytest.raises(ServeClientError) as err:
             client.job("job-9999")
         assert err.value.status == 404
+        for bad_key in ("NOT-A-KEY", "abc123", "0" * 17):
+            with pytest.raises(ServeClientError) as err:
+                client.result_bytes(bad_key)
+            assert err.value.status == 400
         with pytest.raises(ServeClientError) as err:
-            client.result_bytes("NOT-A-KEY")
-        assert err.value.status == 400
+            client.result_bytes("0" * 16)
+        assert err.value.status == 404
         # After all that abuse the service is still healthy.
         assert client.health()["status"] == "ok"
-
-    def test_store_corruption_is_detected_and_rebuilt_from_ledger(
-            self, serving):
-        client = client_for(serving)
-        job = client.submit("PR_KR", "svr16", scale="tiny")
-        assert job["cached"]
-        key = job["key"]
-        original_bytes = client.result_bytes(key)
-        original = json.loads(original_bytes)
-        corrupt_before = serving.store.corrupt_detected
-        serving.store.entry_path(key).write_text("{ torn write")
-        rebuilt_bytes = client.result_bytes(key)
-        rebuilt = json.loads(rebuilt_bytes)
-        # The store keeps each record exactly as the ledger wrote it, so
-        # the rebuilt entry is the lost one, byte for byte.
-        assert rebuilt_bytes == original_bytes
-        assert serving.store.corrupt_detected == corrupt_before + 1
-        assert rebuilt["record"]["result"] == original["record"]["result"]
-        assert rebuilt["record"]["status"] == "ok"
-        metrics = client.metrics()
-        assert metrics["serve.store_corrupt"] >= 1
-        assert metrics["serve.store_rebuild"] >= 1
-        # The quarantined bytes survive for forensics.
-        assert list(serving.store.root.glob(f"{key}.corrupt.*"))
 
     def test_graceful_drain_refuses_new_work_and_exits(self, serving):
         # Runs last in this class: it shuts the shared server down.
@@ -158,6 +167,42 @@ class TestService:
         assert serving.wait(15), "drained server did not shut down"
         states = {j.state for j in serving.queue.jobs()}
         assert states <= {"ok", "failed", "quarantined"}
+
+
+# ---------------------------------------------------------------------------
+# The ledger is the result cache: a restart serves it, and a record that
+# fails its checksum is skipped and simulated again.
+# ---------------------------------------------------------------------------
+
+class TestLedgerCache:
+    def serve_once(self, tmp_path, expect_cached: bool) -> tuple[dict, bytes]:
+        server = start_server(tmp_path, workers=1, retries=0,
+                              timeout_s=60.0)
+        try:
+            client = client_for(server)
+            job = client.submit("Camel", "svr16", scale="tiny")
+            assert job["cached"] is expect_cached
+            final = client.wait(job["job_id"], timeout_s=60.0)
+            assert final["job"]["state"] == "ok"
+            return client.metrics(), client.result_bytes(job["key"])
+        finally:
+            stop_server(server)
+
+    def test_restart_serves_the_ledger_and_reruns_a_corrupt_record(
+            self, tmp_path):
+        _, original = self.serve_once(tmp_path, expect_cached=False)
+        # A restart on the same ledger answers from it, byte for byte.
+        _, again = self.serve_once(tmp_path, expect_cached=True)
+        assert again == original
+        # A flipped digit fails the record's checksum: the restarted
+        # server skips it and simulates the cell again, to the same
+        # result.
+        key = json.loads(original)["key"]
+        flip_result_digit(tmp_path / "ledger.jsonl", key)
+        with pytest.warns(RuntimeWarning, match="sha256 does not match"):
+            metrics, rerun = self.serve_once(tmp_path, expect_cached=False)
+        assert metrics["exec.journal_skipped_records"] >= 1
+        assert json.loads(rerun)["result"] == json.loads(original)["result"]
 
 
 # ---------------------------------------------------------------------------

@@ -284,6 +284,7 @@ class TestJournalTransport:
                    for line in journal.read_text().splitlines()]
         (cell,) = [r for r in records if r.get("event") == "cell"]
         cell["telemetry"] = _as_version_1(cell["telemetry"])
+        del cell["sha256"]          # journals of that age carry no checksum
         journal.write_text("".join(json.dumps(r) + "\n" for r in records))
 
         resumed = run_cells([spec], _config(journal=str(journal),
